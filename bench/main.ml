@@ -1,10 +1,9 @@
 (* The evaluation harness: regenerates every experiment of DESIGN.md /
-   EXPERIMENTS.md (E1-E20) as printed tables, then runs Bechamel timing
-   micro-benchmarks for each counter.
+   EXPERIMENTS.md (E1-E20) as printed tables. Per-counter wall-clock
+   timings live in perf.ml's counters section.
 
    Usage:  dune exec bench/main.exe [-- --only E5 [--only E9 ...]]
                                     [-- --big]       (adds the k=5 column)
-                                    [-- --no-timing] (skip bechamel)
 *)
 
 let section title =
@@ -997,55 +996,10 @@ let exp20_linearizability () =
      every history is linearizable)@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing. *)
-
-let timing () =
-  section "Timing (Bechamel): wall-clock cost of one inc, per counter";
-  let open Bechamel in
-  let make_counter_test (module C : Counter.Counter_intf.S) =
-    let n = C.supported_n 81 in
-    let counter = C.create ~n () in
-    let next = ref 0 in
-    Test.make ~name:C.name
-      (Staged.stage (fun () ->
-           let origin = (!next mod n) + 1 in
-           incr next;
-           ignore (C.inc counter ~origin)))
-  in
-  let tests =
-    Test.make_grouped ~name:"inc@n=81"
-      (List.map make_counter_test Baselines.Registry.all)
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let t = Analysis.Table.create ~columns:[ "bench"; "ns/op"; "r^2" ] in
-  List.iter
-    (fun (name, ols) ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some [ e ] -> Printf.sprintf "%.0f" e
-        | _ -> "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols with
-        | Some r -> Printf.sprintf "%.3f" r
-        | None -> "-"
-      in
-      Analysis.Table.add_row t [ name; est; r2 ])
-    (List.sort compare rows);
-  print_table t
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv in
   let big = List.mem "--big" args in
-  let no_timing = List.mem "--no-timing" args in
   let only =
     let rec collect = function
       | "--only" :: e :: rest -> String.uppercase_ascii e :: collect rest
@@ -1077,5 +1031,4 @@ let () =
   if want "E17" then exp17_robustness ();
   if want "E18" then exp18_fidelity ();
   if want "E19" then exp19_exhaustive ();
-  if want "E20" then exp20_linearizability ();
-  if (not no_timing) && (only = [] || List.mem "TIMING" only) then timing ()
+  if want "E20" then exp20_linearizability ()

@@ -1,110 +1,90 @@
-let retire_tree : Counter.Counter_intf.counter = (module Core.Retire_counter)
+module I = Counter.Counter_intf
 
-let central : Counter.Counter_intf.counter = (module Central)
+(* Every correct counter, the paper's first; each module is named only
+   here. A [Concurrent] entry also implements the open-loop CONCURRENT
+   interface: first-class modules cannot be downcast, so that view is kept
+   where the module is named and [concurrent_all] is read off this list. *)
+type entry = Sequential of I.counter | Concurrent of I.concurrent
 
-let retire_tree_local : Counter.Counter_intf.counter =
-  (module Core.Retire_local)
+let entries =
+  [
+    Concurrent (module Core.Retire_counter);
+    Sequential (module Core.Retire_local);
+    Sequential (module Core.Retire_ft);
+    Concurrent (module Central);
+    Sequential (module Static_tree);
+    Concurrent (module Combining_tree);
+    Concurrent (module Counting_network);
+    Sequential (module Periodic_counter);
+    Concurrent (module Diffracting_tree);
+    Concurrent (module Quorum_counter.Over_majority);
+    Concurrent (module Quorum_counter.Over_grid);
+    Concurrent (module Quorum_counter.Over_tree);
+    Concurrent (module Quorum_counter.Over_wall);
+    Concurrent (module Quorum_counter.Over_plane);
+    Sequential (module Core.Durable_counter);
+  ]
 
-let retire_ft : Counter.Counter_intf.counter = (module Core.Retire_ft)
+let all =
+  List.map
+    (function Sequential c -> c | Concurrent (module C) -> (module C : I.S))
+    entries
 
-let static_tree : Counter.Counter_intf.counter = (module Static_tree)
-
-let combining : Counter.Counter_intf.counter = (module Combining_tree)
-
-let counting_network : Counter.Counter_intf.counter = (module Counting_network)
-
-let periodic_network : Counter.Counter_intf.counter = (module Periodic_counter)
-
-let diffracting : Counter.Counter_intf.counter = (module Diffracting_tree)
-
-let quorum_majority : Counter.Counter_intf.counter =
-  (module Quorum_counter.Over_majority)
-
-let quorum_grid : Counter.Counter_intf.counter =
-  (module Quorum_counter.Over_grid)
-
-let quorum_tree : Counter.Counter_intf.counter =
-  (module Quorum_counter.Over_tree)
-
-let quorum_wall : Counter.Counter_intf.counter =
-  (module Quorum_counter.Over_wall)
-
-let quorum_plane : Counter.Counter_intf.counter =
-  (module Quorum_counter.Over_plane)
-
-let durable : Counter.Counter_intf.counter = (module Core.Durable_counter)
+let concurrent_all =
+  List.filter_map
+    (function Concurrent c -> Some c | Sequential _ -> None)
+    entries
 
 (* Correct but priced out of [all]: every op is (f+1) phases of all-to-all
    exchange, O(f * n^2) messages, so default sweeps (dcount compare runs
    Registry.all up to n = 1024) would drown in it. [find] still resolves
    it by name. *)
-let sync_count : Counter.Counter_intf.counter = (module Core.Sync_counter)
+let sync_count : I.counter = (module Core.Sync_counter)
 
-let all =
-  [
-    retire_tree;
-    retire_tree_local;
-    retire_ft;
-    central;
-    static_tree;
-    combining;
-    counting_network;
-    periodic_network;
-    diffracting;
-    quorum_majority;
-    quorum_grid;
-    quorum_tree;
-    quorum_wall;
-    quorum_plane;
-    durable;
-  ]
-
-let amnesiac : Counter.Counter_intf.counter = (module Amnesiac)
-
-let race_reply : Counter.Counter_intf.counter = (module Race_reply)
-
-let ft_no_handoff : Counter.Counter_intf.counter = (module Ft_no_handoff)
-
-let durable_no_cas : Counter.Counter_intf.counter = (module Durable_no_cas)
-
-let sync_no_threshold : Counter.Counter_intf.counter =
-  (module Sync_no_threshold)
+let amnesiac : I.counter = (module Amnesiac)
 
 let broken =
-  [ amnesiac; race_reply; ft_no_handoff; durable_no_cas; sync_no_threshold ]
+  [
+    amnesiac;
+    (module Race_reply);
+    (module Ft_no_handoff);
+    (module Durable_no_cas);
+    (module Sync_no_threshold);
+  ]
+
+let name_of (module C : I.S) = C.name
 
 let find name =
-  List.find_opt
-    (fun (module C : Counter.Counter_intf.S) -> C.name = name)
-    (all @ (sync_count :: broken))
+  List.find_opt (fun c -> name_of c = name) (all @ (sync_count :: broken))
 
-let names () =
-  List.map (fun (module C : Counter.Counter_intf.S) -> C.name) all
-
-(* Counters that implement the open-loop CONCURRENT interface. Kept as a
-   separate list (rather than a dynamic downcast, which first-class
-   modules cannot express) so [dcount load] can enumerate and resolve
-   them. *)
-let concurrent_all : Counter.Counter_intf.concurrent list =
-  [
-    (module Core.Retire_counter);
-    (module Central);
-    (module Combining_tree);
-    (module Counting_network);
-    (module Diffracting_tree);
-    (module Quorum_counter.Over_majority);
-    (module Quorum_counter.Over_grid);
-    (module Quorum_counter.Over_tree);
-    (module Quorum_counter.Over_wall);
-    (module Quorum_counter.Over_plane);
-  ]
+let names () = List.map name_of all
 
 let find_concurrent name =
   List.find_opt
-    (fun (module C : Counter.Counter_intf.CONCURRENT) -> C.name = name)
+    (fun (module C : I.CONCURRENT) -> C.name = name)
     concurrent_all
 
 let concurrent_names () =
-  List.map
-    (fun (module C : Counter.Counter_intf.CONCURRENT) -> C.name)
-    concurrent_all
+  List.map (fun (module C : I.CONCURRENT) -> C.name) concurrent_all
+
+(* Handles on single members of [all], resolved by registry name. *)
+let member name =
+  match find name with
+  | Some c -> c
+  | None -> invalid_arg ("Registry: no counter named " ^ name)
+
+let retire_tree = member "retire-tree"
+
+let retire_tree_local = member "retire-tree-local"
+
+let retire_ft = member "retire-ft"
+
+let central = member "central"
+
+let static_tree = member "static-tree"
+
+let counting_network = member "counting-net"
+
+let quorum_majority = member "quorum-majority"
+
+let quorum_grid = member "quorum-grid"

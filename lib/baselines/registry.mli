@@ -1,5 +1,14 @@
 (** Central catalogue of every distributed-counter implementation in the
-    repository, for the CLI, experiments and tests. *)
+    repository, for the CLI, experiments and tests. Each counter module is
+    listed once; {!concurrent_all} is derived from {!all}. *)
+
+val all : Counter.Counter_intf.counter list
+(** Every {e correct} counter, the paper's first. *)
+
+val concurrent_all : Counter.Counter_intf.concurrent list
+(** The members of {!all} implementing the open-loop
+    {!Counter.Counter_intf.CONCURRENT} interface, in {!all}'s order — the
+    counters [dcount load] can drive. *)
 
 val retire_tree : Counter.Counter_intf.counter
 (** The paper's counter ({!Core.Retire_counter}). *)
@@ -15,28 +24,11 @@ val central : Counter.Counter_intf.counter
 
 val static_tree : Counter.Counter_intf.counter
 
-val combining : Counter.Counter_intf.counter
-
 val counting_network : Counter.Counter_intf.counter
-
-val periodic_network : Counter.Counter_intf.counter
-
-val diffracting : Counter.Counter_intf.counter
 
 val quorum_majority : Counter.Counter_intf.counter
 
 val quorum_grid : Counter.Counter_intf.counter
-
-val quorum_tree : Counter.Counter_intf.counter
-
-val quorum_wall : Counter.Counter_intf.counter
-
-val quorum_plane : Counter.Counter_intf.counter
-
-val durable : Counter.Counter_intf.counter
-(** The durable WAL-backed counter on the simulated object store
-    ({!Core.Durable_counter}) — the one counter whose [recover:P@T]
-    revival is not amnesia. *)
 
 val sync_count : Counter.Counter_intf.counter
 (** The phase-king synchronous-counting baseline tolerating f < n/3
@@ -44,31 +36,17 @@ val sync_count : Counter.Counter_intf.counter
     of {!all}: its O(f·n²)-messages-per-op all-to-all exchange would
     dominate every default sweep. {!find} resolves it by name. *)
 
-val all : Counter.Counter_intf.counter list
-(** Every {e correct} counter, the paper's first. *)
-
 val amnesiac : Counter.Counter_intf.counter
 (** Deliberately broken: no communication ({!Amnesiac}). *)
 
-val race_reply : Counter.Counter_intf.counter
-(** Deliberately broken, order-sensitively ({!Race_reply}). *)
-
-val ft_no_handoff : Counter.Counter_intf.counter
-(** Deliberately broken under crashes: {!Core.Retire_ft} without the
-    emergency job-description handoff ({!Ft_no_handoff}). *)
-
-val durable_no_cas : Counter.Counter_intf.counter
-(** Deliberately broken under reordering: {!Core.Durable_counter} with
-    blind puts instead of compare-and-swap ({!Durable_no_cas}). *)
-
-val sync_no_threshold : Counter.Counter_intf.counter
-(** Deliberately broken under Byzantine kings: {!Core.Sync_counter}
-    without the round-3 threshold guard ({!Sync_no_threshold}). *)
-
 val broken : Counter.Counter_intf.counter list
 (** The deliberately broken counters — negative controls for the
-    correctness checkers and the model checker. Kept out of {!all} so
-    experiments and sweeps never mistake them for baselines; {!find}
+    correctness checkers and the model checker: {!Amnesiac} (no
+    communication), {!Race_reply} (order-sensitive), {!Ft_no_handoff}
+    ({!Core.Retire_ft} without the emergency handoff), {!Durable_no_cas}
+    (blind puts instead of compare-and-swap) and {!Sync_no_threshold}
+    (phase king without the round-3 threshold guard). Kept out of {!all}
+    so experiments and sweeps never mistake them for baselines; {!find}
     resolves them by name. *)
 
 val find : string -> Counter.Counter_intf.counter option
@@ -76,11 +54,6 @@ val find : string -> Counter.Counter_intf.counter option
 
 val names : unit -> string list
 (** Names of {!all} (the broken counters are not listed). *)
-
-val concurrent_all : Counter.Counter_intf.concurrent list
-(** Every counter implementing the open-loop
-    {!Counter.Counter_intf.CONCURRENT} interface — the counters
-    [dcount load] can drive. *)
 
 val find_concurrent : string -> Counter.Counter_intf.concurrent option
 (** Look up a concurrency-capable counter by [name]. *)

@@ -23,7 +23,7 @@
 
    Failure-awareness mirrors Retire_ft: with [Fault.none] the client is
    disarmed — straight-line RPCs, no timers, zero Rng draws, runs
-   bit-identical across shard counts. Under a plan, origins retry with
+   bit-identical to the golden. Under a plan, origins retry with
    doubling timeouts and the writer retries store RPCs the same way;
    every timer is round-stamped and fires into nothing once the round
    moves on. [~cas:false] is the deliberately broken negative control

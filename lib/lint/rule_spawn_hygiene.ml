@@ -40,7 +40,6 @@ let network_mutators =
     "begin_op";
     "end_op";
     "with_scheduler";
-    "with_shards";
   ]
 
 let rec components (lid : Ppxlib.Longident.t) =

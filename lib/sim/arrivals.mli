@@ -9,8 +9,7 @@
     Every source (one per origin processor) draws from its own
     {!Rng.keyed} stream, a pure function of [(seed, origin)]: the merged
     arrival sequence is computed before the network exists and is
-    therefore bit-identical for every engine configuration, including
-    every [--sim-domains] shard count. Rates are {e per source}: [n]
+    therefore independent of the engine configuration. Rates are {e per source}: [n]
     sources at rate [r] inject [n * r] operations per unit of virtual
     time in aggregate. *)
 

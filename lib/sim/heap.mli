@@ -32,7 +32,7 @@ val push : 'a t -> prio:float -> 'a -> unit
 val push_keyed : 'a t -> prio:float -> key:int -> 'a -> unit
 (** Like {!push} but with a caller-supplied tie-break key instead of the
     heap's own insertion counter: entries pop in [(prio, key)] order. The
-    sharded engines use this to impose one {e global} canonical order
+    sharded engine ({!Par}) uses this to impose one {e global} canonical order
     across several per-shard heaps — each shard pops its local minimum and
     the cross-shard merge compares [(prio, key)] pairs, so where an event
     is stored cannot affect when it is delivered. Mixing [push] and

@@ -146,15 +146,9 @@ type 'msg t = {
   bits : 'msg -> int;
   measure_bits : bool;
       (* skip the [bits] call entirely when no measure was supplied *)
-  queues : 'msg event Heap.t array;
-      (* one SoA heap per shard, processors partitioned into contiguous
-         blocks. A single network-global monotone [gseq], keyed through
-         [Heap.push_keyed], imposes one canonical (arrival, gseq) total
-         order across every shard, so the merged pop order — and with it
-         every checksum — is independent of the shard count. At
-         shards = 1 the keys coincide with the per-heap auto-sequence the
-         engine used before sharding, keeping historical goldens. *)
-  mutable gseq : int;
+  queue : 'msg event Heap.t;
+      (* the SoA event heap; its (arrival, insertion order) pop order is
+         the engine's delivery order *)
   debug : bool;
       (* [Logs] debug level sampled once at [create]: the per-delivery
          [Log.debug] closure is only allocated when someone could see it *)
@@ -340,34 +334,8 @@ let with_scheduler policy f =
   ambient_policy := Some policy;
   Fun.protect ~finally:(fun () -> ambient_policy := saved) f
 
-(* Ambient default shard count, same pattern as [ambient_policy]:
-   counters build their own networks inside their [create], so
-   [Driver.run ~sim_domains] installs the count for the dynamic extent of
-   the constructor instead of widening every counter signature. *)
-let ambient_shards = ref 1
-
-let with_shards s f =
-  if s < 1 then invalid_arg "Network.with_shards: shard count must be >= 1";
-  let saved = !ambient_shards in
-  ambient_shards := s;
-  Fun.protect ~finally:(fun () -> ambient_shards := saved) f
-
-(* Owner shard of a destination: contiguous blocks of the id space, with
-   overflow hires (ids above n) living in the last shard and timers in
-   shard 0. Pure arithmetic on (dst, n, shards) — no per-network state —
-   so the same destination always lands in the same shard. *)
-let shard_of ~n ~shards dst =
-  if shards = 1 || dst > n then shards - 1
-  else (dst - 1) * shards / n
-
 let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
-    ?(fifo = false) ?(faults = Fault.none) ?corrupt ?shards ~n () =
-  let shards =
-    match shards with Some s -> s | None -> !ambient_shards
-  in
-  if shards < 1 then invalid_arg "Network.create: shards must be >= 1";
-  (* More shards than processors would leave empty blocks; clamp. *)
-  let shards = max 1 (min shards (max 1 n)) in
+    ?(fifo = false) ?(faults = Fault.none) ?corrupt ~n () =
   let measure_bits = bits <> None in
   let label = match label with Some f -> f | None -> fun _ -> "msg" in
   let bits = match bits with Some f -> f | None -> fun _ -> 0 in
@@ -419,10 +387,7 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
       label;
       bits;
       measure_bits;
-      queues =
-        (let cap = max 16 (min (2 * n) (1 lsl 16) / shards) in
-         Array.init shards (fun _ -> Heap.create ~capacity:cap ()));
-      gseq = 0;
+      queue = Heap.create ~capacity:(max 16 (min (2 * n) (1 lsl 16))) ();
       debug =
         (match Logs.Src.level log_src with
         | Some Logs.Debug -> true
@@ -465,7 +430,7 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
 let set_handler t h = t.handler <- Some h
 
 let set_scheduler t policy =
-  if Array.exists (fun q -> not (Heap.is_empty q)) t.queues then
+  if not (Heap.is_empty t.queue) then
     failwith "Network.set_scheduler: events already pending in the heap";
   t.sched <-
     Some { policy; spending = []; sseq = 0; link_seqs = Hashtbl.create 16 }
@@ -473,8 +438,6 @@ let set_scheduler t policy =
 let has_scheduler t = t.sched <> None
 
 let n t = t.n
-
-let shards t = Array.length t.queues
 
 let rng t = t.rng
 
@@ -486,40 +449,8 @@ let faults t = t.faults
 
 let pending t =
   match t.sched with
-  | None -> Array.fold_left (fun acc q -> acc + Heap.size q) 0 t.queues
+  | None -> Heap.size t.queue
   | Some s -> List.length s.spending
-
-(* Shard holding the globally next event — the argmin over shard tops of
-   the canonical (arrival, gseq) pair — or -1 when every heap is drained.
-   The single-shard fast path keeps the historical engine's hot loop. *)
-let best_shard t =
-  let qs = t.queues in
-  if Array.length qs = 1 then (if Heap.is_empty qs.(0) then -1 else 0)
-  else begin
-    let best = ref (-1) and bp = ref infinity and bk = ref max_int in
-    for s = 0 to Array.length qs - 1 do
-      if not (Heap.is_empty qs.(s)) then begin
-        let p = Heap.top_prio qs.(s) in
-        let c = Float.compare p !bp in
-        if c < 0 || (c = 0 && Heap.top_key qs.(s) < !bk) then begin
-          best := s;
-          bp := p;
-          bk := Heap.top_key qs.(s)
-        end
-      end
-    done;
-    !best
-  end
-
-let push_event t ~dst ~prio ev =
-  let key = t.gseq in
-  t.gseq <- key + 1;
-  let s =
-    match ev with
-    | Local _ -> 0
-    | Deliver _ -> shard_of ~n:t.n ~shards:(Array.length t.queues) dst
-  in
-  Heap.push_keyed t.queues.(s) ~prio ~key ev
 
 let deliveries t = t.deliveries
 
@@ -548,7 +479,7 @@ let enqueue_delivery t ~src ~dst payload =
         | None -> arrival
         | Some links -> fifo_arrival links ~src ~dst arrival
       in
-      push_event t ~dst ~prio:arrival
+      Heap.push t.queue ~prio:arrival
         (Deliver { src; dst; payload; parent = t.current_event })
 
 let send t ~src ~dst payload =
@@ -638,7 +569,7 @@ let schedule_local t ~delay callback =
         Pend_timer { pseq = s.sseq; tparent = t.current_event; callback }
         :: s.spending
   | None ->
-      push_event t ~dst:0
+      Heap.push t.queue
         ~prio:(t.clock.(0) +. delay)
         (Local (t.current_event, callback))
 
@@ -801,10 +732,9 @@ let step t =
   match t.sched with
   | Some s -> sched_step t s
   | None ->
-  let shard = best_shard t in
-  if shard < 0 then false
+  let q = t.queue in
+  if Heap.is_empty q then false
   else begin
-    let q = t.queues.(shard) in
     let at = Heap.top_prio q in
     if at > t.clock.(0) then t.clock.(0) <- at;
     if t.faults_active then apply_due_crashes t ~at;
@@ -897,8 +827,7 @@ let clone_quiescent t =
     label = t.label;
     bits = t.bits;
     measure_bits = t.measure_bits;
-    queues = Array.map (fun _ -> Heap.create ()) t.queues;
-    gseq = t.gseq;
+    queue = Heap.create ();
     debug = t.debug;
     metrics = Metrics.copy t.metrics;
     handler = None;

@@ -383,35 +383,7 @@ let test_load_usage_errors () =
     "load -c central --arrivals uniform:1";
   check_exit "non-positive rate = exit 2" 2 "load -c central --rate 0";
   check_exit "zero ops = exit 2" 2 "load -c central --ops 0";
-  check_exit "zero sim-domains = exit 2" 2 "load -c central --sim-domains 0";
   check_exit "unknown flag = exit 2" 2 "load --no-such-flag"
-
-let test_load_sim_domains_identical () =
-  (* The open-loop report must be byte-identical across event-queue
-     shard counts — the CLI face of the determinism matrix. *)
-  let out d = Filename.concat tmp (Printf.sprintf "dcount_cli_load_%d.txt" d) in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun d -> try Sys.remove (out d) with Sys_error _ -> ())
-        [ 1; 4 ])
-    (fun () ->
-      List.iter
-        (fun d ->
-          let code =
-            Sys.command
-              (Filename.quote dcount
-              ^ Printf.sprintf
-                  " load -c counting-net -n 64 --rate 2.0 --ops 500 --seed \
-                   42 --sim-domains %d > %s 2>/dev/null"
-                  d
-                  (Filename.quote (out d)))
-          in
-          Alcotest.(check int) (Printf.sprintf "exit 0 at %d domains" d) 0 code)
-        [ 1; 4 ];
-      let slurp p = In_channel.with_open_text p In_channel.input_all in
-      Alcotest.(check string)
-        "reports identical across sim-domains" (slurp (out 1)) (slurp (out 4)))
 
 (* ------------------------------------------------------------------ *)
 (* dcount lint *)
@@ -545,8 +517,6 @@ let () =
           Alcotest.test_case "--check negative control" `Quick
             test_load_check_fails_on_counting_net;
           Alcotest.test_case "usage errors" `Quick test_load_usage_errors;
-          Alcotest.test_case "sim-domains identical" `Quick
-            test_load_sim_domains_identical;
         ] );
       ( "lint",
         [

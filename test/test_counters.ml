@@ -256,7 +256,38 @@ let test_registry_lookup () =
     (Baselines.Registry.names ());
   Alcotest.(check bool)
     "unknown name" true
-    (Baselines.Registry.find "no-such-counter" = None)
+    (Baselines.Registry.find "no-such-counter" = None);
+  (* [concurrent_all] is derived from [all]: pin both orders so the
+     derivation cannot silently drop or reorder a counter. *)
+  check
+    Alcotest.(list string)
+    "all order"
+    [
+      "retire-tree"; "retire-tree-local"; "retire-ft"; "central";
+      "static-tree"; "combining"; "counting-net"; "periodic-net";
+      "diffracting"; "quorum-majority"; "quorum-grid"; "quorum-tree";
+      "quorum-crumbling-wall"; "quorum-projective-plane"; "durable";
+    ]
+    (Baselines.Registry.names ());
+  let concurrent =
+    [
+      "retire-tree"; "central"; "combining"; "counting-net"; "diffracting";
+      "quorum-majority"; "quorum-grid"; "quorum-tree";
+      "quorum-crumbling-wall"; "quorum-projective-plane";
+    ]
+  in
+  check
+    Alcotest.(list string)
+    "concurrent order" concurrent
+    (Baselines.Registry.concurrent_names ());
+  (* [find] was checked above for every name of [all]. *)
+  List.iter
+    (fun name ->
+      match Baselines.Registry.find_concurrent name with
+      | Some (module C : Counter.Counter_intf.CONCURRENT) ->
+          check Alcotest.string "find_concurrent" name C.name
+      | None -> Alcotest.failf "find_concurrent misses %s" name)
+    concurrent
 
 let test_names_unique () =
   let names = List.sort compare (Baselines.Registry.names ()) in

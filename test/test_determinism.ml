@@ -133,36 +133,19 @@ let test_fault_plan_reproducible () =
      this test would silently degenerate into the Fault.none case. *)
   check Alcotest.bool "plan actually fired" true (Sim.Metrics.dropped a > 0)
 
-(* Sharding the event queue must not move a single event: for every shard
-   count the canonical (arrival, gseq) merge across the per-shard heaps
-   reproduces the sequential goldens bit-for-bit. This is the counter-side
-   determinism matrix for the sharded engine (Sim.Par has its own in
-   test_par.ml). *)
-let shard_counts = [ 1; 2; 4; 8 ]
+(* Fault-plan goldens: a deterministic crash/recover plan and a
+   probabilistic drop/dup/partition plan at n = 81, seed 42. Faults touch
+   the Rng draw order (at send time) and the crash trigger order (at pop
+   time), so these pin the fault layer's schedule across commits the way
+   [goldens] pin the fault-free engine. *)
+let fault_plan_goldens =
+  (* (plan, load-vector checksum, dropped, recoveries) *)
+  [
+    ("crash:3@4/recover:3@40", 3311741383050510991, 13, 1);
+    ("drop:0.02/dup:0.01/part:1-9@3,20", 238689233693110146, 43, 0);
+  ]
 
-let test_shard_matrix_goldens () =
-  List.iter
-    (fun g ->
-      List.iter
-        (fun s ->
-          let m = Sim.Network.with_shards s (fun () -> run_metrics g) in
-          check Alcotest.int
-            (Printf.sprintf "%s: golden checksum under %d shards" g.name s)
-            g.checksum (Sim.Metrics.checksum m))
-        shard_counts)
-    goldens
-
-(* Same matrix under fault plans — a deterministic crash/recover plan and
-   a probabilistic drop/dup/partition plan. Faults touch the Rng draw
-   order (at send time) and the crash trigger order (at pop time); both
-   are layout-independent, so every shard count must agree with the
-   unsharded run, fault counters included. *)
-let test_shard_matrix_fault_plans () =
-  let plan s =
-    match Sim.Fault.of_string s with
-    | Ok f -> f
-    | Error e -> Alcotest.failf "bad plan: %s" e
-  in
+let test_fault_plan_goldens () =
   (* Stalls are expected under a fault plan, so this runner goes through
      inc_result instead of run_metrics's raising inc. *)
   let run_faulted faults =
@@ -173,36 +156,27 @@ let test_shard_matrix_fault_plans () =
     R.metrics c
   in
   List.iter
-    (fun spec ->
-      let faults = plan spec in
-      let base = run_faulted faults in
-      List.iter
-        (fun s ->
-          let m = Sim.Network.with_shards s (fun () -> run_faulted faults) in
-          check Alcotest.int
-            (Printf.sprintf "%s: checksum under %d shards" spec s)
-            (Sim.Metrics.checksum base) (Sim.Metrics.checksum m);
-          check Alcotest.int
-            (Printf.sprintf "%s: drops under %d shards" spec s)
-            (Sim.Metrics.dropped base) (Sim.Metrics.dropped m);
-          check Alcotest.int
-            (Printf.sprintf "%s: recoveries under %d shards" spec s)
-            (Sim.Metrics.recoveries base)
-            (Sim.Metrics.recoveries m))
-        shard_counts;
-      (* the plan must actually fire, or the matrix degenerates *)
-      check Alcotest.bool
-        (Printf.sprintf "%s: plan bites" spec)
-        true
-        (Sim.Metrics.dropped base > 0 || Sim.Metrics.crashes base > 0))
-    [ "crash:3@4/recover:3@40"; "drop:0.02/dup:0.01/part:1-9@3,20" ]
+    (fun (spec, checksum, dropped, recoveries) ->
+      let faults =
+        match Sim.Fault.of_string spec with
+        | Ok f -> f
+        | Error e -> Alcotest.failf "bad plan: %s" e
+      in
+      let m = run_faulted faults in
+      check Alcotest.int (spec ^ ": checksum") checksum (Sim.Metrics.checksum m);
+      check Alcotest.int (spec ^ ": drops") dropped (Sim.Metrics.dropped m);
+      check Alcotest.int (spec ^ ": recoveries") recoveries
+        (Sim.Metrics.recoveries m);
+      (* the plan must actually fire, or the golden degenerates into the
+         Fault.none case *)
+      check Alcotest.bool (spec ^ ": plan bites") true
+        (Sim.Metrics.dropped m > 0 || Sim.Metrics.crashes m > 0))
+    fault_plan_goldens
 
 (* The durable WAL-backed counter under Fault.none is disarmed: no retry
    timers, no Rng draws, a sequential store pipeline — so its runs must
-   be bit-identical across every shard count, store traffic included
-   (the store is processor n+1 in the counter's own network, so its RPCs
-   flow through the same sharded heaps). The golden pins the full load
-   vector; a change to the WAL record flow (extra retry, reordered
+   be bit-identical, store traffic included (the store is processor n+1
+   in the counter's own network). The golden pins the full load vector; a change to the WAL record flow (extra retry, reordered
    snapshot, different chunk cadence) moves it. *)
 let durable_golden =
   (* n = 16, seed 42, seed-shuffled each-once order. *)
@@ -233,21 +207,11 @@ let test_durable_golden () =
     "bottleneck" bottleneck (Sim.Metrics.bottleneck m);
   check Alcotest.int "load-vector checksum" checksum (Sim.Metrics.checksum m)
 
-let test_durable_shard_matrix () =
-  let _, _, _, checksum = durable_golden in
-  List.iter
-    (fun s ->
-      let m = Sim.Network.with_shards s run_durable_metrics in
-      check Alcotest.int
-        (Printf.sprintf "durable: golden checksum under %d shards" s)
-        checksum (Sim.Metrics.checksum m))
-    shard_counts
-
 (* The phase-king Byzantine counter under Fault.none must be as
    deterministic as everything else: the corruption path is never
    consulted (zero Rng draws, nothing mixed into the checksum), so the
-   pinned golden must reproduce with and without the empty plan and
-   across every shard count. The golden pins the full load vector of an
+   pinned golden must reproduce with and without the empty plan. The
+   golden pins the full load vector of an
    all-to-all protocol — any change to the three-round phase cadence
    (an extra vote, a reordered king broadcast) moves it. *)
 let sync_golden =
@@ -279,39 +243,6 @@ let test_sync_golden () =
   check Alcotest.int "checksum under Fault.none" checksum
     (Sim.Metrics.checksum m')
 
-let test_sync_shard_matrix () =
-  let _, _, _, checksum = sync_golden in
-  List.iter
-    (fun s ->
-      let m = Sim.Network.with_shards s (fun () -> run_sync_metrics ()) in
-      check Alcotest.int
-        (Printf.sprintf "sync: golden checksum under %d shards" s)
-        checksum (Sim.Metrics.checksum m))
-    shard_counts
-
-(* The driver-level wiring of the same knob: --sim-domains reports are
-   byte-identical for every value. *)
-let test_driver_sim_domains_identical () =
-  let run d =
-    Counter.Driver.run ~seed:1234 ~sim_domains:d
-      Baselines.Registry.retire_tree ~n:81
-      ~schedule:Counter.Schedule.Each_once_shuffled
-  in
-  let base = run 1 in
-  List.iter
-    (fun d ->
-      let r = run d in
-      Alcotest.(check (array int))
-        (Printf.sprintf "values identical, sim_domains=%d" d)
-        base.Counter.Driver.values r.Counter.Driver.values;
-      check Alcotest.int
-        (Printf.sprintf "messages identical, sim_domains=%d" d)
-        base.Counter.Driver.total_messages r.Counter.Driver.total_messages;
-      check Alcotest.int
-        (Printf.sprintf "bottleneck identical, sim_domains=%d" d)
-        base.Counter.Driver.bottleneck_load r.Counter.Driver.bottleneck_load)
-    [ 2; 4; 8 ]
-
 (* The driver's shuffled schedule must also be reproducible end-to-end. *)
 let test_driver_reports_reproducible () =
   let run () =
@@ -334,7 +265,9 @@ let () =
       ( "golden",
         List.map
           (fun g -> Alcotest.test_case g.name `Quick (test_golden g))
-          goldens );
+          goldens
+        @ [ Alcotest.test_case "fault plans" `Quick test_fault_plan_goldens ]
+      );
       ( "reproducibility",
         [
           Alcotest.test_case "repeat runs identical" `Quick
@@ -346,19 +279,12 @@ let () =
           Alcotest.test_case "driver reports reproducible" `Quick
             test_driver_reports_reproducible;
         ] );
+      (* The group keeps its historical name: these goldens were the
+         single-run rows of the event-queue shard matrix, removed together
+         with the sharded queue. *)
       ( "shard matrix",
         [
-          Alcotest.test_case "goldens bit-identical under 1/2/4/8 shards"
-            `Quick test_shard_matrix_goldens;
-          Alcotest.test_case "fault plans bit-identical under 1/2/4/8 shards"
-            `Quick test_shard_matrix_fault_plans;
           Alcotest.test_case "durable golden" `Quick test_durable_golden;
-          Alcotest.test_case "durable bit-identical under 1/2/4/8 shards"
-            `Quick test_durable_shard_matrix;
           Alcotest.test_case "sync-count golden" `Quick test_sync_golden;
-          Alcotest.test_case "sync-count bit-identical under 1/2/4/8 shards"
-            `Quick test_sync_shard_matrix;
-          Alcotest.test_case "driver --sim-domains reports identical" `Quick
-            test_driver_sim_domains_identical;
         ] );
     ]

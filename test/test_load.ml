@@ -1,8 +1,7 @@
 (* Open-loop load engine tests (docs/LOAD.md): the arrival generator's
    determinism and distribution properties, the concurrent-history
    checker against a brute-force linearizability reference, the stored
-   E20 / open-loop violation goldens, and Driver.run_load end to end —
-   including the sim-domains determinism matrix. *)
+   E20 / open-loop violation goldens, and Driver.run_load end to end. *)
 
 let check = Alcotest.check
 
@@ -111,27 +110,6 @@ let prop_merge_sorted_and_complete =
            (fun i (t, _) -> if i > 0 && t < fst plan.(i - 1) then ok := false)
            plan;
          !ok))
-
-let test_generator_ignores_sim_domains () =
-  (* The plan is computed before any network exists; the ambient shard
-     count must be invisible to it. *)
-  let under d f = if d = 1 then f () else Sim.Network.with_shards d f in
-  let reference =
-    A.merge (A.Bursty { rate = 1.0; on_len = 2.0; off_len = 3.0 }) ~seed:42
-      ~n:16 ~ops:400
-  in
-  List.iter
-    (fun d ->
-      let plan =
-        under d (fun () ->
-            A.merge
-              (A.Bursty { rate = 1.0; on_len = 2.0; off_len = 3.0 })
-              ~seed:42 ~n:16 ~ops:400)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "sim-domains %d" d)
-        true (plan = reference))
-    [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* History checker vs a brute-force reference *)
@@ -347,12 +325,13 @@ let test_latency_percentiles_ordered () =
   Alcotest.(check bool) "positive" true (l.Analysis.Histogram.p50 > 0.);
   Alcotest.(check bool) "throughput positive" true (r.D.throughput > 0.)
 
-let test_run_load_sim_domains_matrix () =
+let test_run_load_reproducible () =
   (* The full report — counts, percentiles, verdicts, witness, every
-     history entry — must be bit-identical at every shard count. *)
-  let render d =
+     history entry — must be bit-identical when the same seeded run is
+     repeated in one process: no hidden global state leaks between runs. *)
+  let render () =
     let r =
-      D.run_load ~seed:42 ~delay:(Sim.Delay.Exponential 1.0) ~sim_domains:d
+      D.run_load ~seed:42 ~delay:(Sim.Delay.Exponential 1.0)
         (module Baselines.Counting_network)
         ~n:64 ~arrivals:(A.Poisson 2.0) ~ops:400
     in
@@ -364,12 +343,8 @@ let test_run_load_sim_domains_matrix () =
                 o.completed_at)
             r.D.history))
   in
-  let reference = render 1 in
-  List.iter
-    (fun d ->
-      check Alcotest.string (Printf.sprintf "sim-domains %d" d) reference
-        (render d))
-    [ 2; 4; 8 ]
+  let reference = render () in
+  check Alcotest.string "repeat run" reference (render ())
 
 let () =
   Alcotest.run "load"
@@ -387,8 +362,6 @@ let () =
           prop_bursty_envelope;
           prop_stream_monotone;
           prop_merge_sorted_and_complete;
-          Alcotest.test_case "ignores sim-domains" `Quick
-            test_generator_ignores_sim_domains;
         ] );
       ( "checker",
         [
@@ -411,7 +384,7 @@ let () =
             test_every_concurrent_counter_completes;
           Alcotest.test_case "percentiles ordered" `Quick
             test_latency_percentiles_ordered;
-          Alcotest.test_case "sim-domains matrix" `Slow
-            test_run_load_sim_domains_matrix;
+          Alcotest.test_case "report reproducible" `Slow
+            test_run_load_reproducible;
         ] );
     ]
