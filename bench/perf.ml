@@ -183,10 +183,10 @@ let heap_section ~smoke =
    A relay protocol: each message carries a hop budget; on delivery the
    receiver forwards it (hops - 1) to a deterministically scrambled next
    destination until the budget is spent. Measures the full delivery path:
-   heap pop, FIFO bookkeeping, metrics charge, handler dispatch, re-send. *)
+   heap pop, metrics charge, handler dispatch, re-send. *)
 
 let bench_network ~n ~target_events =
-  let net = Sim.Network.create ~seed:99 ~fifo:true ~n () in
+  let net = Sim.Network.create ~seed:99 ~n () in
   let injections = min n 256 in
   let hops = max 1 (target_events / injections) in
   Sim.Network.set_handler net (fun ~self ~src:_ hops ->

@@ -72,6 +72,19 @@ let guard_byz_plan cmd name faults =
       exit 2
   | _ -> ()
 
+(* A schedule naming an origin above the counter's rounded n would raise
+   from deep inside the run; report it as a usage error instead. *)
+let guard_origins cmd counter n schedule =
+  let (module C : Counter.Counter_intf.S) = counter in
+  let n = C.supported_n n in
+  match Counter.Schedule.check_origins schedule ~n with
+  | Ok () -> ()
+  | Error e ->
+      Format.eprintf "dcount %s: -s %s: %s (%s runs at n = %d)@." cmd
+        (Counter.Schedule.to_string schedule)
+        e C.name n;
+      exit 2
+
 let counter_arg =
   Arg.(
     value
@@ -153,6 +166,7 @@ let run_cmd =
     end;
     (let (module C : Counter.Counter_intf.S) = counter in
      guard_byz_plan "run" C.name faults);
+    guard_origins "run" counter n schedule;
     (* Under an active fault plan stalls and value gaps are expected, so
        the correctness verdict only gates the exit code on fault-free
        runs. *)
@@ -730,6 +744,14 @@ let chaos_cmd =
                       exclusive@.";
       exit 2
     end;
+    List.iter
+      (fun (flag, p) ->
+        if not (p >= 0. && p <= 1.) then begin
+          Format.eprintf "dcount chaos: %s %g is not a probability in [0, 1]@."
+            flag p;
+          exit 2
+        end)
+      (("--dup", dup) :: List.map (fun d -> ("--drops", d)) drop_rates);
     if byz then run_byz counter n seed delay byz_counts ops check
     else if durable then
       run_durable n seed delay crash_counts drop_rates dup ops check recover
@@ -1336,13 +1358,14 @@ let mc_cmd =
     | None when sweep_all ->
         (* Found-or-absent table over every registered counter, the broken
            ones last — the table EXPERIMENTS.md quotes. *)
+        let rows =
+          Baselines.Registry.all @ Baselines.Registry.broken
+        in
+        List.iter (fun c -> guard_origins "mc" c n schedule) rows;
         Format.printf "model check: n=%d schedule=%a faults=%a budget=%d@.@."
           n Counter.Schedule.pp schedule Sim.Fault.pp faults max_states;
         Format.printf "%-22s %-12s %11s %11s %9s@." "counter" "verdict"
           "executions" "states" "violation";
-        let rows =
-          Baselines.Registry.all @ Baselines.Registry.broken
-        in
         let any_unexpected = ref false in
         List.iter
           (fun ((module C : Counter.Counter_intf.S) as c) ->
@@ -1372,6 +1395,7 @@ let mc_cmd =
     | None -> (
         (let (module C : Counter.Counter_intf.S) = counter in
          guard_byz_plan "mc" C.name (Some faults));
+        guard_origins "mc" counter n schedule;
         let outcome = Mc.Explore.check ~seed ~faults ~config counter ~n ~schedule in
         Format.printf "@[<v>%a@,%a@]@." Mc.Explore.pp_verdict
           outcome.Mc.Explore.verdict Mc.Explore.pp_stats

@@ -23,9 +23,13 @@ type t =
           many operations are initiated by a single processor"). *)
   | Explicit of int list  (** Fully specified origin sequence. *)
 
+val check_origins : t -> n:int -> (unit, string) result
+(** [Error] naming the first origin that [Single_origin] or [Explicit]
+    puts outside [1 .. n]; the other schedules are always in range. *)
+
 val origins : t -> Sim.Rng.t -> n:int -> int list
 (** Materialise the origin sequence for an [n]-processor network. Raises
-    [Invalid_argument] if an origin is out of range. *)
+    [Invalid_argument] if {!check_origins} fails. *)
 
 val ops : t -> n:int -> int
 (** Number of operations the schedule will perform. *)
@@ -37,6 +41,8 @@ val to_string : t -> string
     [of_string (to_string t) = Ok t]. *)
 
 val of_string : string -> (t, string) result
+(** Rejects negative op counts and origins below 1. Origins above [n]
+    parse; {!check_origins} rejects them once [n] is known. *)
 
 val name : t -> string
 

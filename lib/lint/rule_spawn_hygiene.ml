@@ -35,7 +35,6 @@ let network_mutators =
     "crash";
     "recover";
     "set_handler";
-    "set_scheduler";
     "declare_unordered";
     "begin_op";
     "end_op";

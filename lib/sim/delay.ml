@@ -49,26 +49,30 @@ let to_string t = Format.asprintf "%a" pp t
 
 let of_string s =
   let fail () = Error (Printf.sprintf "cannot parse delay %S" s) in
+  let out_of_range need = Error (Printf.sprintf "delay %S: %s" s need) in
   match String.index_opt s ':' with
   | None -> fail ()
   | Some i -> (
       let kind = String.sub s 0 i in
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
       let float_of s = float_of_string_opt (String.trim s) in
+      (* A model must be able to draw a finite positive latency; the 1e-9
+         floor in [sample] is for single zero draws, not for such input. *)
+      let positive make =
+        match float_of rest with
+        | Some d when Float.is_finite d && d > 0. -> Ok (make d)
+        | Some _ -> out_of_range "the parameter must be finite and > 0"
+        | None -> fail ()
+      in
       match kind with
-      | "constant" -> (
-          match float_of rest with Some d -> Ok (Constant d) | None -> fail ())
-      | "exp" -> (
-          match float_of rest with Some d -> Ok (Exponential d) | None -> fail ())
-      | "jitter" -> (
-          match float_of rest with
-          | Some d -> Ok (Adversarial_jitter d)
-          | None -> fail ())
+      | "constant" -> positive (fun d -> Constant d)
+      | "exp" -> positive (fun d -> Exponential d)
+      | "jitter" -> positive (fun d -> Adversarial_jitter d)
       | "uniform" -> (
-          match String.split_on_char ',' rest with
-          | [ lo; hi ] -> (
-              match (float_of lo, float_of hi) with
-              | Some lo, Some hi -> Ok (Uniform (lo, hi))
-              | _ -> fail ())
+          match List.map float_of (String.split_on_char ',' rest) with
+          | [ Some lo; Some hi ] ->
+              if Float.is_finite hi && 0. <= lo && lo <= hi && hi > 0. then
+                Ok (Uniform (lo, hi))
+              else out_of_range "needs finite 0 <= LO <= HI with HI > 0"
           | _ -> fail ())
       | _ -> fail ())

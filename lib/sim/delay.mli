@@ -36,6 +36,8 @@ val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parses ["constant:1.0"], ["uniform:0.5,2.0"], ["exp:1.0"],
-    ["jitter:1.0"]; used by the CLI. *)
+    ["jitter:1.0"]; used by the CLI. The [constant], [exp] and [jitter]
+    parameters must be finite and [> 0]; [uniform:LO,HI] needs finite
+    [0 <= LO <= HI] with [HI > 0]. *)
 
 val to_string : t -> string

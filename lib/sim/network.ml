@@ -11,77 +11,6 @@ type 'msg event =
   | Local of int * (unit -> unit)
       (* timer with the causal parent of the event that scheduled it *)
 
-(* Per-link last-scheduled-arrival table for FIFO links. Small networks get
-   a pre-sized flat array indexed by src * stride + dst (no hashing, no
-   allocation on the send path); ids beyond the pre-sized range — overflow
-   hires — spill into an open-addressing {!Ltbl}. Large networks use the
-   Ltbl only: a dense (n+1)^2 table at n = 10^5 would be 80 GB, while the
-   Ltbl stays proportional to the links actually exercised. The
-   ((src, dst), float) Hashtbl it replaces allocated a tuple key per
-   lookup and boxed every stored float — the locality cliff behind the
-   n = 10^4 fifo-network rows of BENCH_1 (words/event 32 -> 45). *)
-type fifo_links =
-  | Dense of {
-      stride : int;  (* ids 1 .. stride - 1 are in the flat table *)
-      last : float array;  (* neg_infinity = no message on this link yet *)
-      mutable spill : Ltbl.t option;
-    }
-  | Sparse of Ltbl.t
-
-(* Flat tables up to this many entries (8 MB of floats): n <= 1023. *)
-let fifo_dense_limit = 1 lsl 20
-
-let make_fifo_links n =
-  let stride = n + 1 in
-  if stride * stride <= fifo_dense_limit then
-    Dense
-      {
-        stride;
-        last = Array.make (stride * stride) neg_infinity;
-        spill = None;
-      }
-  else Sparse (Ltbl.create ~initial:4096 ~absent:neg_infinity ())
-
-(* A message never overtakes an earlier one on the same (src, dst) link. *)
-let fifo_arrival links ~src ~dst arrival =
-  let bump prev = if prev >= arrival then prev +. 1e-9 else arrival in
-  match links with
-  | Dense d when src < d.stride && dst < d.stride ->
-      let idx = (src * d.stride) + dst in
-      let a = bump d.last.(idx) in
-      d.last.(idx) <- a;
-      a
-  | Dense d ->
-      let spill =
-        match d.spill with
-        | Some h -> h
-        | None ->
-            let h = Ltbl.create ~initial:64 ~absent:neg_infinity () in
-            d.spill <- Some h;
-            h
-      in
-      let key = Ltbl.link_key ~src ~dst in
-      (* [absent] is neg_infinity, which [bump] maps to [arrival]: a
-         virgin link never bumps. *)
-      let a = bump (Ltbl.get spill key) in
-      Ltbl.set spill key a;
-      a
-  | Sparse h ->
-      let key = Ltbl.link_key ~src ~dst in
-      let a = bump (Ltbl.get h key) in
-      Ltbl.set h key a;
-      a
-
-let copy_fifo_links = function
-  | Dense d ->
-      Dense
-        {
-          d with
-          last = Array.copy d.last;
-          spill = Option.map Ltbl.copy d.spill;
-        }
-  | Sparse h -> Sparse (Ltbl.copy h)
-
 (* ------------------------------------------------------------------ *)
 (* Pluggable delivery scheduling.
 
@@ -164,7 +93,6 @@ type 'msg t = {
   mutable max_message_bits : int;
   mutable current_event : int;
       (* seq of the delivery being handled; 0 outside handlers *)
-  fifo_links : fifo_links option;
   faults : Fault.t;
   mutable faults_active : bool;
       (* false = the entire fault layer is skipped on the hot path (and
@@ -195,7 +123,7 @@ type 'msg t = {
       (* (After trigger, kind, processor) with kind 0 = crash, 2 = turn
          Byzantine, sorted *)
   mutable count_crash_idx : int;
-  mutable sched : 'msg sched option;
+  sched : 'msg sched option;
       (* None = the heap engine, bit-identical to pre-scheduler builds *)
 }
 
@@ -335,7 +263,7 @@ let with_scheduler policy f =
   Fun.protect ~finally:(fun () -> ambient_policy := saved) f
 
 let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
-    ?(fifo = false) ?(faults = Fault.none) ?corrupt ~n () =
+    ?(faults = Fault.none) ?corrupt ~n () =
   let measure_bits = bits <> None in
   let label = match label with Some f -> f | None -> fun _ -> "msg" in
   let bits = match bits with Some f -> f | None -> fun _ -> 0 in
@@ -401,7 +329,6 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
       total_bits = 0;
       max_message_bits = 0;
       current_event = 0;
-      fifo_links = (if fifo then Some (make_fifo_links n) else None);
       faults;
       faults_active = not (Fault.is_none faults);
       crashed_tbl = [||];
@@ -428,12 +355,6 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
   t
 
 let set_handler t h = t.handler <- Some h
-
-let set_scheduler t policy =
-  if not (Heap.is_empty t.queue) then
-    failwith "Network.set_scheduler: events already pending in the heap";
-  t.sched <-
-    Some { policy; spending = []; sseq = 0; link_seqs = Hashtbl.create 16 }
 
 let has_scheduler t = t.sched <> None
 
@@ -474,11 +395,6 @@ let enqueue_delivery t ~src ~dst payload =
         :: s.spending
   | None ->
       let arrival = t.clock.(0) +. Delay.sample t.delay t.rng in
-      let arrival =
-        match t.fifo_links with
-        | None -> arrival
-        | Some links -> fifo_arrival links ~src ~dst arrival
-      in
       Heap.push t.queue ~prio:arrival
         (Deliver { src; dst; payload; parent = t.current_event })
 
@@ -572,6 +488,46 @@ let schedule_local t ~delay callback =
       Heap.push t.queue
         ~prio:(t.clock.(0) +. delay)
         (Local (t.current_event, callback))
+
+(* --- Delivery, shared by both engines -------------------------------- *)
+
+(* A timer's effects are causal consequences of the event that armed it. *)
+let fire_timer t ~parent callback =
+  let saved = t.current_event in
+  t.current_event <- parent;
+  callback ();
+  t.current_event <- saved
+
+(* Deliver one message to a live destination at the current clock: charge
+   the receive, record it on the open trace, and run the handler with this
+   delivery as the causal parent of whatever it sends. *)
+let deliver t ~src ~dst ~parent payload =
+  let handler =
+    match t.handler with
+    | Some h -> h
+    | None -> failwith "Network.step: no handler installed"
+  in
+  t.deliveries <- t.deliveries + 1;
+  if t.debug then
+    Log.debug (fun m ->
+        m "t=%.3f deliver %d -> %d [%s]" t.clock.(0) src dst (t.label payload));
+  Metrics.on_recv t.metrics dst;
+  (match t.trace with
+  | Some trace ->
+      Trace.record trace
+        {
+          Trace.seq = t.deliveries;
+          time = t.clock.(0);
+          src;
+          dst;
+          tag = t.label payload;
+          parent;
+        }
+  | None -> ());
+  let saved = t.current_event in
+  t.current_event <- t.deliveries;
+  handler ~self:dst ~src payload;
+  t.current_event <- saved
 
 (* --- Scheduler-mode stepping ---------------------------------------- *)
 
@@ -692,40 +648,10 @@ let rec sched_step t s =
         (match picks.(i) with
         | Pend_timer { pseq; tparent; callback } ->
             sched_remove s pseq;
-            let saved = t.current_event in
-            t.current_event <- tparent;
-            callback ();
-            t.current_event <- saved
-        | Pend_msg { pseq; plseq = _; psrc = src; pdst = dst;
-                     ppayload = payload; pparent = parent } ->
+            fire_timer t ~parent:tparent callback
+        | Pend_msg { pseq; psrc; pdst; ppayload; pparent; plseq = _ } ->
             sched_remove s pseq;
-            let handler =
-              match t.handler with
-              | Some h -> h
-              | None -> failwith "Network.step: no handler installed"
-            in
-            t.deliveries <- t.deliveries + 1;
-            if t.debug then
-              Log.debug (fun m ->
-                  m "t=%.3f deliver %d -> %d [%s] (scheduled)" t.clock.(0) src
-                    dst (t.label payload));
-            Metrics.on_recv t.metrics dst;
-            (match t.trace with
-            | Some trace ->
-                Trace.record trace
-                  {
-                    Trace.seq = t.deliveries;
-                    time = t.clock.(0);
-                    src;
-                    dst;
-                    tag = t.label payload;
-                    parent;
-                  }
-            | None -> ());
-            let saved = t.current_event in
-            t.current_event <- t.deliveries;
-            handler ~self:dst ~src payload;
-            t.current_event <- saved);
+            deliver t ~src:psrc ~dst:pdst ~parent:pparent ppayload);
         true
 
 let step t =
@@ -740,12 +666,7 @@ let step t =
     if t.faults_active then apply_due_crashes t ~at;
     match Heap.pop_top q with
     | Local (parent, callback) ->
-        (* The timer's effects are causal consequences of the event that
-           armed it. *)
-        let saved = t.current_event in
-        t.current_event <- parent;
-        callback ();
-        t.current_event <- saved;
+        fire_timer t ~parent callback;
         true
     | Deliver { src; dst; payload = _; parent = _ }
       when t.faults_active && crashed t dst ->
@@ -756,33 +677,7 @@ let step t =
         record_fault t ~src ~dst Trace.Dropped;
         true
     | Deliver { src; dst; payload; parent } ->
-        let handler =
-          match t.handler with
-          | Some h -> h
-          | None -> failwith "Network.step: no handler installed"
-        in
-        t.deliveries <- t.deliveries + 1;
-        if t.debug then
-          Log.debug (fun m ->
-              m "t=%.3f deliver %d -> %d [%s]" t.clock.(0) src dst
-                (t.label payload));
-        Metrics.on_recv t.metrics dst;
-        (match t.trace with
-        | Some trace ->
-            Trace.record trace
-              {
-                Trace.seq = t.deliveries;
-                time = t.clock.(0);
-                src;
-                dst;
-                tag = t.label payload;
-                parent;
-              }
-        | None -> ());
-        let saved = t.current_event in
-        t.current_event <- t.deliveries;
-        handler ~self:dst ~src payload;
-        t.current_event <- saved;
+        deliver t ~src ~dst ~parent payload;
         true
   end
 
@@ -838,7 +733,6 @@ let clone_quiescent t =
     total_bits = t.total_bits;
     max_message_bits = t.max_message_bits;
     current_event = 0;
-    fifo_links = Option.map copy_fifo_links t.fifo_links;
     faults = t.faults;
     faults_active = t.faults_active;
     crashed_tbl = Array.copy t.crashed_tbl;

@@ -88,10 +88,6 @@ val with_scheduler : policy -> (unit -> 'a) -> 'a
     counter's [create] signature. The previous ambient policy is
     restored on exit (exceptions included). *)
 
-val set_scheduler : 'msg t -> policy -> unit
-(** Install a policy on an existing network. Raises [Failure] if heap
-    events are already pending (the two queues cannot be mixed). *)
-
 val has_scheduler : 'msg t -> bool
 
 val declare_unordered : 'msg t -> int -> unit
@@ -115,7 +111,6 @@ val create :
   ?delay:Delay.t ->
   ?label:('msg -> string) ->
   ?bits:('msg -> int) ->
-  ?fifo:bool ->
   ?faults:Fault.t ->
   ?corrupt:
     (rule:Fault.byz_rule ->
@@ -132,11 +127,10 @@ val create :
     (default {!Delay.default}) is the latency model; [label] renders
     payloads for traces (default: ["msg"]); [bits] measures payload sizes
     for the message-length accounting of {!total_bits} /
-    {!max_message_bits} (default: messages are unmeasured, size 0);
-    [fifo] (default false) makes each directed (src, dst) link deliver in
-    send order even under reordering delay models — the TCP-like
-    assumption many protocols quietly rely on. The paper's model does
-    not require it and neither do our protocols (tested both ways).
+    {!max_message_bits} (default: messages are unmeasured, size 0).
+    Links are not FIFO: each message arrives at its send time plus its own
+    [delay] sample, so same-link messages keep send order only under
+    [Constant] delays.
     [faults] (default {!Fault.none}) is the deterministic fault plan:
     crash triggers apply between deliveries, per-message drop and
     duplication decisions draw from the network's own random stream, and

@@ -457,11 +457,68 @@ let test_usage_errors_exit_2 () =
 (* ------------------------------------------------------------------ *)
 (* shared plumbing *)
 
+(* Values the parsers accept but the run cannot honour are usage errors
+   too, not uncaught exceptions (exit 125). *)
+let test_out_of_range_exit_2 () =
+  List.iter
+    (fun args -> check_exit (args ^ " = exit 2") 2 args)
+    [
+      "run -c retire-tree -n 8 -s round-robin:-1";
+      "run -c retire-tree -n 8 -s random:-2";
+      "run -c retire-tree -n 8 -s explicit:0";
+      "run -c retire-tree -n 8 -s explicit:9";
+      "mc -c central -n 3 -s explicit:7";
+      "chaos -c retire-tree -n 8 --drops 1.5";
+      "chaos -c retire-tree -n 8 --dup 1.5";
+      "chaos -c retire-tree -n 8 --drops=-0.1";
+      "run -c central -n 4 --delay constant:-1";
+      "run -c central -n 4 --delay constant:inf";
+      "run -c central -n 4 --delay jitter:-2";
+    ]
+
 let test_unknown_counter_rejected () =
   let mc = run "mc -c no-such-counter -n 3" in
   let chaos = run "chaos -c no-such-counter --check" in
   Alcotest.(check bool) "mc rejects" true (mc <> 0);
   Alcotest.(check bool) "chaos rejects" true (chaos <> 0)
+
+(* ------------------------------------------------------------------ *)
+(* Output goldens: the exact stdout and stderr of documented invocations,
+   stored as data/cli/NAME.out and NAME.err. After an intended output
+   change, re-record a pair by running its command from this directory
+   with the two streams redirected into those files. *)
+
+let goldens =
+  [
+    ("run_retire_tree", "run -c retire-tree -n 81");
+    ("run_durable", "run -c durable -n 16");
+    ( "run_retire_ft_faults",
+      "run -c retire-ft -n 81 -s round-robin:200 --faults \
+       crash:3@4/recover:3@40/drop:0.02/dup:0.01" );
+    ("run_combining_debug", "run -c combining -n 16 --delay exp:1 --debug");
+    ( "load_counting_net",
+      "load -c counting-net -n 64 --rate 2.0 --ops 2000 --seed 42" );
+    ("mc_retire_tree", "mc -c retire-tree -n 8 -s explicit:1,8,4");
+    ("list", "list");
+  ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_golden name args () =
+  let out = Filename.temp_file "dcount_golden" ".out" in
+  let err = Filename.temp_file "dcount_golden" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      let redirect =
+        Printf.sprintf " >%s 2>%s" (Filename.quote out) (Filename.quote err)
+      in
+      Alcotest.(check int) "exit code" 0 (run ~quiet:false (args ^ redirect));
+      let golden ext = read_file (Filename.concat "data/cli" (name ^ ext)) in
+      Alcotest.(check string) "stdout" (golden ".out") (read_file out);
+      Alcotest.(check string) "stderr" (golden ".err") (read_file err))
 
 let () =
   (* The binary must exist: it is a declared dune dep, so a miss means
@@ -531,5 +588,12 @@ let () =
             test_unknown_counter_rejected;
           Alcotest.test_case "usage errors exit 2" `Quick
             test_usage_errors_exit_2;
+          Alcotest.test_case "out-of-range values exit 2" `Quick
+            test_out_of_range_exit_2;
         ] );
+      ( "output goldens",
+        List.map
+          (fun (name, args) ->
+            Alcotest.test_case name `Quick (test_golden name args))
+          goldens );
     ]

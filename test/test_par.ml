@@ -1,4 +1,4 @@
-(* Sim.Par — the multi-domain conservative engine — and Sim.Ltbl.
+(* Sim.Par — the multi-domain conservative engine.
 
    The load-bearing property is the determinism matrix: the same relay
    workload run under domains {1, 2, 4, 8} must produce byte-identical
@@ -167,46 +167,6 @@ let test_rejections () =
   rejects "n too large for the canonical key" (fun () ->
       Sim.Par.create ~n:(1 lsl 22) ())
 
-(* --- Ltbl ------------------------------------------------------------ *)
-
-(* Model check against a reference Hashtbl over a key space big enough to
-   force several growth rehashes from the tiny initial capacity. *)
-let ltbl_vs_model =
-  QCheck.Test.make ~count:300 ~name:"Ltbl.get/set agree with a Hashtbl model"
-    QCheck.(list (triple (int_range 1 60) (int_range 1 60) (int_range 0 999)))
-    (fun ops ->
-      let t = Sim.Ltbl.create ~initial:4 ~absent:neg_infinity () in
-      let model = Hashtbl.create 16 in
-      List.for_all
-        (fun (src, dst, v) ->
-          let key = Sim.Ltbl.link_key ~src ~dst in
-          let expected =
-            match Hashtbl.find_opt model key with
-            | Some x -> x
-            | None -> neg_infinity
-          in
-          let got = Sim.Ltbl.get t key in
-          let value = float_of_int v in
-          Hashtbl.replace model key value;
-          Sim.Ltbl.set t key value;
-          Float.equal got expected
-          && Float.equal (Sim.Ltbl.get t key) value
-          && Sim.Ltbl.length t = Hashtbl.length model)
-        ops)
-
-let test_ltbl_directed_links () =
-  let t = Sim.Ltbl.create ~absent:nan () in
-  Sim.Ltbl.set t (Sim.Ltbl.link_key ~src:1 ~dst:2) 1.0;
-  Sim.Ltbl.set t (Sim.Ltbl.link_key ~src:2 ~dst:1) 2.0;
-  check (Alcotest.float 0.) "1->2" 1.0
-    (Sim.Ltbl.get t (Sim.Ltbl.link_key ~src:1 ~dst:2));
-  check (Alcotest.float 0.) "2->1 is a distinct link" 2.0
-    (Sim.Ltbl.get t (Sim.Ltbl.link_key ~src:2 ~dst:1));
-  let copy = Sim.Ltbl.copy t in
-  Sim.Ltbl.set copy (Sim.Ltbl.link_key ~src:1 ~dst:2) 9.0;
-  check (Alcotest.float 0.) "copy is independent" 1.0
-    (Sim.Ltbl.get t (Sim.Ltbl.link_key ~src:1 ~dst:2))
-
 let () =
   Alcotest.run "par"
     [
@@ -239,11 +199,5 @@ let () =
             test_handler_exception_propagates;
           Alcotest.test_case "deterministic-subset rejections" `Quick
             test_rejections;
-        ] );
-      ( "ltbl",
-        [
-          QCheck_alcotest.to_alcotest ltbl_vs_model;
-          Alcotest.test_case "directed links are distinct" `Quick
-            test_ltbl_directed_links;
         ] );
     ]

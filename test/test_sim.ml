@@ -190,7 +190,25 @@ let test_delay_parse_errors () =
       match Sim.Delay.of_string s with
       | Ok _ -> Alcotest.failf "should not parse: %s" s
       | Error _ -> ())
-    [ ""; "constant"; "uniform:1"; "exp:x"; "nope:1" ]
+    [
+      "";
+      "constant";
+      "uniform:1";
+      "exp:x";
+      "nope:1";
+      "constant:-1";
+      "constant:0";
+      "constant:inf";
+      "constant:nan";
+      "exp:0";
+      "exp:-1";
+      "jitter:-2";
+      "jitter:0";
+      "uniform:2,1";
+      "uniform:-1,1";
+      "uniform:0,0";
+      "uniform:0,inf";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Trace / Comm_list *)
@@ -533,44 +551,86 @@ let test_network_bits_default_zero () =
   ignore (Sim.Network.run_to_quiescence net);
   check Alcotest.int "unmeasured" 0 (Sim.Network.total_bits net)
 
-let test_network_fifo_links_under_reordering_delay () =
-  (* Exponential delays reorder same-link messages by default; ~fifo:true
-     forbids it. *)
-  let run ~fifo =
-    let net =
-      Sim.Network.create ~fifo ~delay:(Sim.Delay.Exponential 1.0) ~seed:9 ~n:2 ()
-    in
-    let received = ref [] in
-    Sim.Network.set_handler net (fun ~self:_ ~src:_ msg ->
-        received := msg :: !received);
-    List.iter (fun i -> Sim.Network.send net ~src:1 ~dst:2 i) (List.init 20 Fun.id);
-    ignore (Sim.Network.run_to_quiescence net);
-    List.rev !received
-  in
-  let in_order = List.init 20 Fun.id in
-  Alcotest.(check (list int)) "fifo preserves order" in_order (run ~fifo:true);
-  Alcotest.(check bool) "non-fifo reorders (this seed)" true
-    (run ~fifo:false <> in_order)
-
-let test_network_fifo_cross_link_free () =
-  (* FIFO is per directed link: different links may still interleave. *)
+let test_network_same_link_overtaking () =
+  (* Links are not FIFO: under a non-constant delay model each message
+     draws its own latency, so same-link messages may overtake one
+     another (this seed reorders them). *)
   let net =
-    Sim.Network.create ~fifo:true ~delay:(Sim.Delay.Exponential 1.0) ~seed:4 ~n:3 ()
+    Sim.Network.create ~delay:(Sim.Delay.Exponential 1.0) ~seed:9 ~n:2 ()
   in
   let received = ref [] in
-  Sim.Network.set_handler net (fun ~self:_ ~src msg ->
-      received := (src, msg) :: !received);
-  for i = 0 to 9 do
-    Sim.Network.send net ~src:1 ~dst:3 i;
-    Sim.Network.send net ~src:2 ~dst:3 i
-  done;
+  Sim.Network.set_handler net (fun ~self:_ ~src:_ msg ->
+      received := msg :: !received);
+  let sent = List.init 20 Fun.id in
+  List.iter (fun i -> Sim.Network.send net ~src:1 ~dst:2 i) sent;
   ignore (Sim.Network.run_to_quiescence net);
-  let per_src s =
-    List.filter_map (fun (src, m) -> if src = s then Some m else None)
-      (List.rev !received)
+  let received = List.rev !received in
+  Alcotest.(check (list int)) "every message arrives" sent
+    (List.sort Int.compare received);
+  Alcotest.(check bool) "out of send order" true (received <> sent)
+
+let test_network_scheduler_mode () =
+  (* Scheduler mode runs the same delivery and timer routines as the
+     timed engine, under a fixed policy: always take the last enabled
+     choice. Processor 3 answers a Ping at once; processor 2 answers and
+     also arms a timer that sends a second Pong. The clock is logical,
+     +1 per event, timers included. *)
+  let offered = ref [] in
+  let policy choices =
+    offered := choices :: !offered;
+    Sim.Network.Deliver_next (Array.length choices - 1)
   in
-  Alcotest.(check (list int)) "link 1->3 ordered" (List.init 10 Fun.id) (per_src 1);
-  Alcotest.(check (list int)) "link 2->3 ordered" (List.init 10 Fun.id) (per_src 2)
+  let label = function Ping -> "ping" | Pong -> "pong" in
+  let net =
+    Sim.Network.with_scheduler policy (fun () ->
+        Sim.Network.create ~label ~n:3 ())
+  in
+  let clocks = ref [] in
+  let tick () = clocks := Sim.Network.now net :: !clocks in
+  Sim.Network.set_handler net (fun ~self ~src msg ->
+      tick ();
+      match msg with
+      | Ping ->
+          Sim.Network.send net ~src:self ~dst:src Pong;
+          if self = 2 then
+            Sim.Network.schedule_local net ~delay:5.0 (fun () ->
+                tick ();
+                Sim.Network.send net ~src:self ~dst:src Pong)
+      | Pong -> ());
+  Sim.Network.begin_op net ~origin:1;
+  Sim.Network.send net ~src:1 ~dst:2 Ping;
+  Sim.Network.send net ~src:1 ~dst:3 Ping;
+  check Alcotest.int "steps" 6 (Sim.Network.run_to_quiescence net);
+  let events = Sim.Trace.events (Sim.Network.end_op net) in
+  Alcotest.(check (list (list int)))
+    "seq, src, dst, parent"
+    [ [ 1; 1; 3; 0 ]; [ 2; 3; 1; 1 ]; [ 3; 1; 2; 0 ]; [ 4; 2; 1; 3 ];
+      [ 5; 2; 1; 3 ] ]
+    (List.map
+       (fun (e : Sim.Trace.event) -> [ e.seq; e.src; e.dst; e.parent ])
+       events);
+  Alcotest.(check (list string))
+    "tags"
+    [ "ping"; "pong"; "ping"; "pong"; "pong" ]
+    (List.map (fun (e : Sim.Trace.event) -> e.tag) events);
+  Alcotest.(check (list (float 0.)))
+    "clock +1 per event" [ 1.; 2.; 3.; 4.; 5.; 6. ] (List.rev !clocks);
+  Alcotest.(check (list (float 0.)))
+    "delivery times" [ 1.; 2.; 3.; 5.; 6. ]
+    (List.map (fun (e : Sim.Trace.event) -> e.time) events);
+  (* The fourth decision offers the pending 2 -> 1 Pong and the timer
+     pseudo-choice, canonically last; the policy takes the timer. *)
+  let timer =
+    { Sim.Network.link_src = 0; link_dst = 0; link_seq = -1;
+      link_tag = "timer" }
+  in
+  let offered = Array.of_list (List.rev !offered) in
+  check Alcotest.int "decisions" 6 (Array.length offered);
+  Alcotest.(check bool)
+    "timer offered last" true
+    (offered.(3)
+    = [| { link_src = 2; link_dst = 1; link_seq = -1; link_tag = "pong" };
+         timer |])
 
 let prop_network_message_conservation =
   QCheck2.Test.make ~name:"total load = 2 * messages (echo protocol)"
@@ -661,8 +721,8 @@ let () =
           Alcotest.test_case "FIFO under constant delay" `Quick test_network_fifo_under_constant_delay;
           Alcotest.test_case "bits accounting" `Quick test_network_bits_accounting;
           Alcotest.test_case "bits default zero" `Quick test_network_bits_default_zero;
-          Alcotest.test_case "fifo links" `Quick test_network_fifo_links_under_reordering_delay;
-          Alcotest.test_case "fifo is per link" `Quick test_network_fifo_cross_link_free;
+          Alcotest.test_case "same-link overtaking" `Quick test_network_same_link_overtaking;
+          Alcotest.test_case "scheduler mode" `Quick test_network_scheduler_mode;
           q prop_network_message_conservation;
         ] );
     ]
