@@ -1277,10 +1277,28 @@ let exhaustive_cmd =
 (* ------------------------------------------------------------------ *)
 (* mc *)
 
+(* A plan the explorer cannot check (a probabilistic or store clause, a
+   victim outside the counter's rounded 1..n) is a usage error, not a
+   crash. *)
+let guard_mc_plan counter n faults =
+  let (module C : Counter.Counter_intf.S) = counter in
+  match Mc.Explore.validate_plan faults ~n:(C.supported_n n) with
+  | Ok () -> ()
+  | Error e ->
+      Format.eprintf "dcount mc: %s: %s@." C.name e;
+      exit 2
+
 let mc_cmd =
   let run counter n seed faults schedule max_states max_depth prune
       expect_violation allow_incomplete cx_out replay_file sweep_all
       progress property =
+    List.iter
+      (fun (flag, v) ->
+        if v < 0 then begin
+          Format.eprintf "dcount mc: --%s must be >= 0, got %d@." flag v;
+          exit 2
+        end)
+      [ ("max-states", max_states); ("max-depth", max_depth) ];
     let required_property =
       match property with
       | None -> None
@@ -1334,6 +1352,7 @@ let mc_cmd =
                     cx.Mc.Replay.counter path;
                   exit 2
             in
+            guard_mc_plan c cx.Mc.Replay.n cx.Mc.Replay.faults;
             match Mc.Replay.run c cx with
             | Error e ->
                 Format.eprintf "replay failed: %s@." e;
@@ -1361,7 +1380,11 @@ let mc_cmd =
         let rows =
           Baselines.Registry.all @ Baselines.Registry.broken
         in
-        List.iter (fun c -> guard_origins "mc" c n schedule) rows;
+        List.iter
+          (fun c ->
+            guard_origins "mc" c n schedule;
+            guard_mc_plan c n faults)
+          rows;
         Format.printf "model check: n=%d schedule=%a faults=%a budget=%d@.@."
           n Counter.Schedule.pp schedule Sim.Fault.pp faults max_states;
         Format.printf "%-22s %-12s %11s %11s %9s@." "counter" "verdict"
@@ -1396,6 +1419,7 @@ let mc_cmd =
         (let (module C : Counter.Counter_intf.S) = counter in
          guard_byz_plan "mc" C.name (Some faults));
         guard_origins "mc" counter n schedule;
+        guard_mc_plan counter n faults;
         let outcome = Mc.Explore.check ~seed ~faults ~config counter ~n ~schedule in
         Format.printf "@[<v>%a@,%a@]@." Mc.Explore.pp_verdict
           outcome.Mc.Explore.verdict Mc.Explore.pp_stats

@@ -66,7 +66,6 @@ let verify_counter ?(seed = 42) ?limit (module C : Counter.Counter_intf.S) ~n =
   let n = C.supported_n n in
   (if n > 9 && limit = None then
      invalid_arg "Exhaustive.verify_counter: n! too large; pass ~limit");
-  let k = Lower_bound.k_of_n n in
   let stats =
     ref
       {
@@ -98,7 +97,9 @@ let verify_counter ?(seed = 42) ?limit (module C : Counter.Counter_intf.S) ~n =
         orders = s.orders + 1;
         all_correct = s.all_correct && correct;
         all_hotspot = s.all_hotspot && hotspot;
-        all_bound = s.all_bound && bottleneck >= k;
+        all_bound =
+          s.all_bound
+          && Lower_bound.satisfied_by ~n ~bottleneck_load:bottleneck;
         min_bottleneck = min s.min_bottleneck bottleneck;
         max_bottleneck = max s.max_bottleneck bottleneck;
         min_messages = min s.min_messages messages;

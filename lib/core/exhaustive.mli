@@ -22,7 +22,8 @@ type stats = {
   orders : int;  (** Permutations checked. *)
   all_correct : bool;
   all_hotspot : bool;
-  all_bound : bool;  (** [m_b >= k] everywhere. *)
+  all_bound : bool;
+      (** [m_b >= k] everywhere ({!Lower_bound.satisfied_by}). *)
   min_bottleneck : int;
   max_bottleneck : int;
   min_messages : int;

@@ -2,7 +2,7 @@ let k_of_n = Params.k_of_n_floor
 
 let k_of_n_continuous = Params.k_continuous
 
-let satisfied_by ~n ~bottleneck_load = bottleneck_load >= k_of_n n
+let satisfied_by ~n ~bottleneck_load = n < 2 || bottleneck_load >= k_of_n n
 
 let pp_table ppf ns =
   Format.fprintf ppf "@[<v>%8s %6s %12s@," "n" "k" "k (real)";

@@ -24,7 +24,10 @@ val satisfied_by : n:int -> bottleneck_load:int -> bool
     bound [m_b >= k]? Every correct counter implementation must satisfy
     this on each-processor-once sequences; it is asserted across the whole
     test suite. (The theorem's constant is 1 in the integer reading
-    [m_b >= k]; we check exactly that.) *)
+    [m_b >= k]; we check exactly that.) With [n < 2] it holds
+    trivially: one processor's each-once sequence is a single local
+    increment that needs no message, so the theorem says nothing
+    there. *)
 
 val pp_table : Format.formatter -> int list -> unit
 (** Print [n -> k] for a list of network sizes (the theory table of

@@ -11,7 +11,14 @@ let of_choice (c : Sim.Network.choice) =
   else if c.link_seq >= 0 then Linkn (c.link_src, c.link_dst, c.link_seq)
   else Link (c.link_src, c.link_dst)
 
-let equal (a : key) (b : key) = a = b
+let equal a b =
+  match (a, b) with
+  | Link (s1, d1), Link (s2, d2) -> Int.equal s1 s2 && Int.equal d1 d2
+  | Linkn (s1, d1, k1), Linkn (s2, d2, k2) ->
+      Int.equal s1 s2 && Int.equal d1 d2 && Int.equal k1 k2
+  | Timer, Timer -> true
+  | Crash p, Crash q | Recover p, Recover q | Byz p, Byz q -> Int.equal p q
+  | (Link _ | Linkn _ | Timer | Crash _ | Recover _ | Byz _), _ -> false
 
 let compare (a : key) (b : key) =
   let rank = function

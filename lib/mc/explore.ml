@@ -92,20 +92,34 @@ type exec = {
   down_at_end : int list;  (* victims still crashed after the last op *)
 }
 
-let reject_probabilistic (faults : Sim.Fault.t) =
+let validate_plan (faults : Sim.Fault.t) ~n =
+  let outside what victims =
+    match List.find_opt (fun p -> p > n) victims with
+    | Some p -> Error (Printf.sprintf "%s victim %d outside 1..%d" what p n)
+    | None -> Ok ()
+  in
   if
     faults.drop > 0. || faults.duplicate > 0.
     || faults.drop_links <> []
     || faults.partitions <> []
   then
-    invalid_arg
-      "Mc.Explore: probabilistic fault clauses (drop/dup/partitions) cannot \
-       be model-checked; only crash/recover victims are supported";
-  if Sim.Fault.store_active faults then
-    invalid_arg
-      "Mc.Explore: store-RPC fault clauses (sdrop/sdup/sslow/sout) cannot be \
+    Error
+      "probabilistic fault clauses (drop/dup/partitions) cannot be \
+       model-checked; only crash/recover victims are supported"
+  else if Sim.Fault.store_active faults then
+    Error
+      "store-RPC fault clauses (sdrop/sdup/sslow/sout) cannot be \
        model-checked; the adversary already owns delivery nondeterminism, \
        including store traffic"
+  else
+    Result.bind
+      (outside "crash" (Sim.Fault.crash_processors faults))
+      (fun () -> outside "byz" (Sim.Fault.byzantine_processors faults))
+
+let require_plan faults ~n =
+  match validate_plan faults ~n with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Mc.Explore: " ^ e)
 
 let recover_processors (faults : Sim.Fault.t) =
   List.sort_uniq Int.compare
@@ -140,6 +154,15 @@ let neuter (faults : Sim.Fault.t) =
     byz_equiv = faults.byz_equiv;
   }
 
+let index_of key keys =
+  let rec go i =
+    if i = Array.length keys then
+      failwith "Mc.Explore: chosen key is not enabled"
+    else if Enabled.equal keys.(i) key then i
+    else go (i + 1)
+  in
+  go 0
+
 let execute (module C : Counter_intf.S) ~seed ~neutered ~n ~schedule ~victims
     ~revivable ~byzable ~choose =
   let crashed = ref [] in
@@ -147,31 +170,39 @@ let execute (module C : Counter_intf.S) ~seed ~neutered ~n ~schedule ~victims
   let byzed = ref [] in
   let policy (choices : Sim.Network.choice array) =
     let base = Array.map Enabled.of_choice choices in
-    let honest = List.filter (fun p -> not (List.mem p !byzed)) byzable in
-    let live = List.filter (fun p -> not (List.mem p !crashed)) victims in
-    (* Each victim crashes at most once and revives at most once: the
-       adversary decides *when*, the plan decides *whether*. *)
-    let downed =
-      List.filter
-        (fun p -> List.mem p !crashed && not (List.mem p !revived))
-        revivable
-    in
-    (* Crash choices go first (then revivals) so depth-first order is
-       crash-eager: the interesting branches (victim dies before/between
-       deliveries, revives mid-recovery) are reached immediately instead
-       of after exhausting every benign timer interleaving — with
-       bounded budgets the late branches may never be reached at all. *)
-    (* Byz keys lead even the crash keys: corruption branches are the
-       whole point of a byz hunt, and a corrupted-from-the-start victim
-       is the classic worst case. *)
     let keys =
-      Array.concat
-        [
-          Array.of_list (List.map (fun p -> Enabled.Byz p) honest);
-          Array.of_list (List.map (fun p -> Enabled.Crash p) live);
-          Array.of_list (List.map (fun p -> Enabled.Recover p) downed);
-          base;
-        ]
+      (* Revivals only follow crashes, so without victims no fault key
+         can apply and the mapped array is the whole enabled set. *)
+      if victims = [] && byzable = [] then base
+      else
+        let honest = List.filter (fun p -> not (List.mem p !byzed)) byzable in
+        let live = List.filter (fun p -> not (List.mem p !crashed)) victims in
+        (* Each victim crashes at most once and revives at most once: the
+           adversary decides *when*, the plan decides *whether*. *)
+        let downed =
+          List.filter
+            (fun p -> List.mem p !crashed && not (List.mem p !revived))
+            revivable
+        in
+        match (honest, live, downed) with
+        | [], [], [] -> base
+        | _ ->
+            (* Crash choices go first (then revivals) so depth-first order
+               is crash-eager: the interesting branches (victim dies
+               before/between deliveries, revives mid-recovery) are
+               reached immediately instead of after exhausting every
+               benign timer interleaving — with bounded budgets the late
+               branches may never be reached at all. Byz keys lead even
+               the crash keys: corruption branches are the whole point of
+               a byz hunt, and a corrupted-from-the-start victim is the
+               classic worst case. *)
+            Array.concat
+              [
+                Array.of_list (List.map (fun p -> Enabled.Byz p) honest);
+                Array.of_list (List.map (fun p -> Enabled.Crash p) live);
+                Array.of_list (List.map (fun p -> Enabled.Recover p) downed);
+                base;
+              ]
     in
     match (choose keys : Enabled.key) with
     | Enabled.Byz p ->
@@ -183,13 +214,7 @@ let execute (module C : Counter_intf.S) ~seed ~neutered ~n ~schedule ~victims
     | Enabled.Recover p ->
         revived := p :: !revived;
         Sim.Network.Recover_now p
-    | key ->
-        let idx = ref (-1) in
-        Array.iteri
-          (fun i k -> if !idx < 0 && Enabled.equal k key then idx := i)
-          base;
-        if !idx < 0 then failwith "Mc.Explore: chosen key is not enabled";
-        Sim.Network.Deliver_next !idx
+    | key -> Sim.Network.Deliver_next (index_of key base)
   in
   Sim.Network.with_scheduler policy (fun () ->
       let counter = C.create ~seed ~faults:neutered ~n () in
@@ -362,17 +387,18 @@ let check_properties ~config ~faulty ~schedule ~origins ~n exec =
         | v :: _ ->
             Some (Hotspot_violated, Format.asprintf "%a" Hotspot.pp_violation v)
         | [] ->
-            let k = Core.Lower_bound.k_of_n n in
             if
               config.check_bound
               && is_each_once schedule
-              && exec.bottleneck < k
+              && not
+                   (Core.Lower_bound.satisfied_by ~n
+                      ~bottleneck_load:exec.bottleneck)
             then
               Some
                 ( Bound_violated,
                   Printf.sprintf "bottleneck load %d < k = %d on an each-once \
                                   schedule"
-                    exec.bottleneck k )
+                    exec.bottleneck (Core.Lower_bound.k_of_n n) )
             else None)
 
 (* ------------------------------------------------------------------ *)
@@ -398,22 +424,10 @@ let first_awake f =
 
 let check ?(seed = 42) ?(faults = Sim.Fault.none) ?(config = default_config)
     (module C : Counter_intf.S) ~n ~schedule =
-  reject_probabilistic faults;
   let n = C.supported_n n in
+  require_plan faults ~n;
   let victims = Sim.Fault.crash_processors faults in
   let byzable = Sim.Fault.byzantine_processors faults in
-  List.iter
-    (fun p ->
-      if p > n then
-        invalid_arg
-          (Printf.sprintf "Mc.Explore: crash victim %d outside 1..%d" p n))
-    victims;
-  List.iter
-    (fun p ->
-      if p > n then
-        invalid_arg
-          (Printf.sprintf "Mc.Explore: byz victim %d outside 1..%d" p n))
-    byzable;
   let revivable = recover_processors faults in
   let neutered = neuter faults in
   let schedule_origins =
@@ -572,8 +586,8 @@ exception Replay_diverged of int * Enabled.key
 let run_schedule ?(seed = 42) ?(faults = Sim.Fault.none)
     ?(config = default_config) (module C : Counter_intf.S) ~n ~schedule
     ~decisions =
-  reject_probabilistic faults;
   let n = C.supported_n n in
+  require_plan faults ~n;
   let victims = Sim.Fault.crash_processors faults in
   let byzable = Sim.Fault.byzantine_processors faults in
   let revivable = recover_processors faults in

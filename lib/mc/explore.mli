@@ -29,9 +29,9 @@ open Counter
       sequential);
     - the Hot Spot Lemma holds ({!Hotspot.check});
     - on fault-free each-once schedules, the bottleneck load is at least
-      the paper's [k] ({!Core.Lower_bound.k_of_n}) — the Lower Bound
-      Theorem, checked on {e every} interleaving rather than the
-      adversary's.
+      the paper's [k] ({!Core.Lower_bound.satisfied_by}, which exempts a
+      single processor) — the Lower Bound Theorem, checked on {e every}
+      interleaving rather than the adversary's.
 
     See docs/MODELCHECK.md for the model, its guarantees and its
     limits. *)
@@ -119,6 +119,14 @@ type stats = {
 
 type outcome = { verdict : verdict; stats : stats }
 
+val validate_plan : Sim.Fault.t -> n:int -> (unit, string) result
+(** Whether the explorer can check this fault plan at this (already
+    rounded) size: no probabilistic clause (drop/dup/partitions), no
+    store clause (sdrop/sdup/sslow/sout), and every crash and Byzantine
+    victim inside [1 .. n]. The [Error] message is one line.
+    {!check} and {!run_schedule} raise [Invalid_argument] on such a
+    plan. *)
+
 val check :
   ?seed:int ->
   ?faults:Sim.Fault.t ->
@@ -140,10 +148,11 @@ val check :
     each honest Byzantine victim at {e every} decision point (each
     victim crashes, revives or turns at most once per execution; turn
     branches lead the depth-first order, so corrupted-early worst cases
-    are explored first). Probabilistic clauses (drop/dup/partitions) and store
-    clauses (sdrop/sdup/sslow/sout) raise [Invalid_argument]: the former
-    sample the engine's rng, the latter are subsumed by the adversary
-    already owning delivery of store traffic. *)
+    are explored first). A plan {!validate_plan} refuses raises
+    [Invalid_argument]: probabilistic clauses (drop/dup/partitions)
+    sample the engine's rng, store clauses (sdrop/sdup/sslow/sout) are
+    subsumed by the adversary already owning delivery of store traffic,
+    and a victim outside [1 .. n] names no processor. *)
 
 val run_schedule :
   ?seed:int ->

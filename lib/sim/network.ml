@@ -16,15 +16,12 @@ type 'msg event =
 
    The default engine delivers the earliest pending event (the heap
    order). A scheduler replaces that policy: at every step the engine
-   enumerates the *enabled* events — the oldest pending message of each
-   distinct (src, dst) link, in per-link send order, plus a single
-   choice standing for the earliest-armed local timer — and asks the
-   policy which one happens next. The policy may instead crash-stop a
-   processor between deliveries ([Crash_now]), which is how the model
-   checker interleaves fault events with message deliveries. Under a
-   scheduler, virtual time is logical: the clock advances by 1 per
-   event and no delay is ever sampled, so runs are pure functions of
-   the decision sequence. *)
+   enumerates the *enabled* events — the head of each (src, dst) link's
+   queue, every queued message of an unordered link, then one choice for
+   the earliest-armed timer — and asks the policy which happens next, or
+   which processor crashes, revives or turns Byzantine first. Virtual
+   time is then logical (+1 per event) and no delay is sampled, so a run
+   is a pure function of the decision sequence. *)
 
 type choice = {
   link_src : int;
@@ -44,27 +41,31 @@ type decision =
 
 type policy = choice array -> decision
 
-(* One pending event in scheduler mode; [pseq] is global send order, so
-   per-link FIFO = lowest [pseq] on that link, and [plseq] is the stable
-   per-link send ordinal used to name individual messages on unordered
-   destinations. *)
-type 'msg pend =
-  | Pend_msg of {
-      pseq : int;
-      plseq : int;
-      psrc : int;
-      pdst : int;
-      ppayload : 'msg;
-      pparent : int;
-    }
-  | Pend_timer of { pseq : int; tparent : int; callback : unit -> unit }
+(* Scheduler-mode state. Every link in use keeps its pending messages in
+   a FIFO queue and counts its sends (the next ordinal); whether all its
+   queued messages are enabled or only the head is fixed when it carries
+   its first message. A message's [choice] is built once, at send time;
+   [mseq] is global send order, for the sweep's drop annotations. *)
+type 'msg queued =
+  { mseq : int; mchoice : choice; mpayload : 'msg; mparent : int }
+
+type 'msg link = {
+  lsrc : int;
+  ldst : int;
+  lunordered : bool;
+  lqueue : 'msg queued Queue.t;
+  mutable lsent : int;
+}
+
+type timer = { tparent : int; callback : unit -> unit }
 
 type 'msg sched = {
   policy : policy;
-  mutable spending : 'msg pend list;  (* reverse send order *)
-  mutable sseq : int;
-  link_seqs : (int * int, int) Hashtbl.t;
-      (* messages ever sent per (src, dst) link — the next [plseq] *)
+  mutable links : 'msg link array;  (* sorted by (src, dst); [nlinks] used *)
+  mutable nlinks : int;
+  timers : timer Queue.t;  (* arming order *)
+  mutable sent : int;  (* messages ever queued: the next [mseq] *)
+  mutable waiting : int;  (* queued messages plus armed timers *)
 }
 
 type 'msg t = {
@@ -262,8 +263,13 @@ let with_scheduler policy f =
   ambient_policy := Some policy;
   Fun.protect ~finally:(fun () -> ambient_policy := saved) f
 
+let new_sched policy =
+  { policy; links = [||]; nlinks = 0; timers = Queue.create (); sent = 0;
+    waiting = 0 }
+
 let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
     ?(faults = Fault.none) ?corrupt ~n () =
+  let scheduled = Option.is_some !ambient_policy in
   let measure_bits = bits <> None in
   let label = match label with Some f -> f | None -> fun _ -> "msg" in
   let bits = match bits with Some f -> f | None -> fun _ -> 0 in
@@ -315,7 +321,9 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
       label;
       bits;
       measure_bits;
-      queue = Heap.create ~capacity:(max 16 (min (2 * n) (1 lsl 16))) ();
+      queue =
+        (if scheduled then Heap.create ()
+         else Heap.create ~capacity:(max 16 (min (2 * n) (1 lsl 16))) ());
       debug =
         (match Logs.Src.level log_src with
         | Some Logs.Debug -> true
@@ -341,12 +349,7 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
       time_event_idx = 0;
       count_crashes;
       count_crash_idx = 0;
-      sched =
-        Option.map
-          (fun policy ->
-            { policy; spending = []; sseq = 0;
-              link_seqs = Hashtbl.create 16 })
-          !ambient_policy;
+      sched = Option.map new_sched !ambient_policy;
     }
   in
   (* "Crashed from the start" triggers (At 0. / After 0) apply before any
@@ -371,28 +374,53 @@ let faults t = t.faults
 let pending t =
   match t.sched with
   | None -> Heap.size t.queue
-  | Some s -> List.length s.spending
+  | Some s -> s.waiting
 
 let deliveries t = t.deliveries
+
+(* The scheduler-mode link (src, dst), inserted in (src, dst) order on
+   its first message; a binary search finds it afterwards. *)
+let sched_link t s ~src ~dst =
+  let lo = ref 0 and hi = ref s.nlinks in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let l = s.links.(mid) in
+    if l.lsrc < src || (l.lsrc = src && l.ldst < dst) then lo := mid + 1
+    else hi := mid
+  done;
+  let i = !lo in
+  if i < s.nlinks && s.links.(i).lsrc = src && s.links.(i).ldst = dst then
+    s.links.(i)
+  else begin
+    let l =
+      { lsrc = src; ldst = dst; lunordered = is_unordered t dst;
+        lqueue = Queue.create (); lsent = 0 }
+    in
+    if s.nlinks = Array.length s.links then
+      s.links <- Array.append s.links (Array.make (max 8 s.nlinks) l);
+    Array.blit s.links i s.links (i + 1) (s.nlinks - i);
+    s.links.(i) <- l;
+    s.nlinks <- s.nlinks + 1;
+    l
+  end
 
 let enqueue_delivery t ~src ~dst payload =
   match t.sched with
   | Some s ->
-      (* Scheduler mode: the message joins the pending pool untimed; no
+      (* Scheduler mode: the message joins its link's queue untimed; no
          delay is sampled (the adversary, not the latency model, decides
          when it arrives). *)
-      s.sseq <- s.sseq + 1;
-      let plseq =
-        match Hashtbl.find_opt s.link_seqs (src, dst) with
-        | Some k -> k
-        | None -> 0
-      in
-      Hashtbl.replace s.link_seqs (src, dst) (plseq + 1);
-      s.spending <-
-        Pend_msg
-          { pseq = s.sseq; plseq; psrc = src; pdst = dst;
-            ppayload = payload; pparent = t.current_event }
-        :: s.spending
+      let l = sched_link t s ~src ~dst in
+      let link_seq = if l.lunordered then l.lsent else -1 in
+      l.lsent <- l.lsent + 1;
+      s.sent <- s.sent + 1;
+      s.waiting <- s.waiting + 1;
+      Queue.add
+        { mseq = s.sent; mpayload = payload; mparent = t.current_event;
+          mchoice =
+            { link_src = src; link_dst = dst; link_seq;
+              link_tag = t.label payload } }
+        l.lqueue
   | None ->
       let arrival = t.clock.(0) +. Delay.sample t.delay t.rng in
       Heap.push t.queue ~prio:arrival
@@ -480,10 +508,8 @@ let schedule_local t ~delay callback =
   if delay < 0. then invalid_arg "Network.schedule_local: negative delay";
   match t.sched with
   | Some s ->
-      s.sseq <- s.sseq + 1;
-      s.spending <-
-        Pend_timer { pseq = s.sseq; tparent = t.current_event; callback }
-        :: s.spending
+      s.waiting <- s.waiting + 1;
+      Queue.add { tparent = t.current_event; callback } s.timers
   | None ->
       Heap.push t.queue
         ~prio:(t.clock.(0) +. delay)
@@ -531,105 +557,91 @@ let deliver t ~src ~dst ~parent payload =
 
 (* --- Scheduler-mode stepping ---------------------------------------- *)
 
-(* Discard pending messages addressed to crashed processors before
-   enumerating: a dead destination is not a real choice, and sweeping
-   eagerly keeps the branching the model checker sees free of no-ops.
-   Each discarded message is charged exactly as the heap path charges a
-   delivery to a dead peer. *)
+let timer_choice =
+  { link_src = 0; link_dst = 0; link_seq = -1; link_tag = "timer" }
+
+(* Enabled events a link offers: all it holds if unordered, else its head. *)
+let offered l =
+  let len = Queue.length l.lqueue in
+  if l.lunordered then len else Int.min 1 len
+
+(* Discard the messages queued for crashed processors before enumerating:
+   a dead destination is not a real choice, and sweeping eagerly keeps
+   the branching the model checker sees free of no-ops. Each discarded
+   message is charged exactly as the heap path charges a delivery to a
+   dead peer, and annotated oldest first, in global send order. *)
 let sched_sweep_dead t s =
-  if t.faults_active then begin
-    let dead, alive =
-      List.partition
-        (function Pend_msg m -> crashed t m.pdst | Pend_timer _ -> false)
-        s.spending
-    in
-    if dead <> [] then begin
-      s.spending <- alive;
-      List.iter
-        (function
-          | Pend_msg m ->
-              Metrics.on_drop t.metrics;
-              record_fault t ~src:m.psrc ~dst:m.pdst Trace.Dropped
-          | Pend_timer _ -> ())
-        (* Oldest first, so drop annotations appear in send order. *)
-        (List.sort
-           (fun a b ->
-             let seq = function Pend_msg m -> m.pseq | Pend_timer p -> p.pseq in
-             Int.compare (seq a) (seq b))
-           dead)
+  let dead = ref [] in
+  for i = 0 to s.nlinks - 1 do
+    let l = s.links.(i) in
+    if crashed t l.ldst && not (Queue.is_empty l.lqueue) then begin
+      dead := Queue.fold (fun acc m -> m :: acc) !dead l.lqueue;
+      s.waiting <- s.waiting - Queue.length l.lqueue;
+      Queue.clear l.lqueue
     end
+  done;
+  match !dead with
+  | [] -> ()
+  | dead ->
+      List.iter
+        (fun m ->
+          Metrics.on_drop t.metrics;
+          record_fault t ~src:m.mchoice.link_src ~dst:m.mchoice.link_dst
+            Trace.Dropped)
+        (List.sort (fun a b -> Int.compare a.mseq b.mseq) dead)
+
+(* Enabled events, canonically ordered: link by link in (src, dst) order,
+   each link's offered messages by ordinal (= send order), then — if any
+   timer is armed — one choice for the earliest-armed timer. *)
+let sched_enabled s =
+  let count = ref (if Queue.is_empty s.timers then 0 else 1) in
+  for i = 0 to s.nlinks - 1 do
+    count := !count + offered s.links.(i)
+  done;
+  let choices = Array.make !count timer_choice in
+  let k = ref 0 in
+  for i = 0 to s.nlinks - 1 do
+    let l = s.links.(i) in
+    if l.lunordered then
+      k := Queue.fold (fun j m -> choices.(j) <- m.mchoice; j + 1) !k l.lqueue
+    else if not (Queue.is_empty l.lqueue) then begin
+      choices.(!k) <- (Queue.peek l.lqueue).mchoice;
+      incr k
+    end
+  done;
+  choices
+
+(* Remove the [j]-th queued message, keeping the others in send order. *)
+let take_nth q j =
+  if j = 0 then Queue.take q
+  else begin
+    let taken = ref (Queue.peek q) in
+    for k = 0 to Queue.length q - 1 do
+      let m = Queue.take q in
+      if k = j then taken := m else Queue.add m q
+    done;
+    !taken
   end
 
-(* Enabled events, canonically ordered: the oldest pending message of
-   each distinct (src, dst) link — or, for a destination declared
-   unordered, {e every} pending message to it — sorted by
-   (src, dst, per-link ordinal), then — if any timer is armed — one
-   choice for the earliest-armed timer. Returns the choices plus the
-   pending entry each choice denotes. *)
-let sched_enabled t s =
-  sched_sweep_dead t s;
-  let in_order =
-    List.sort
-      (fun a b ->
-        let seq = function Pend_msg m -> m.pseq | Pend_timer p -> p.pseq in
-        Int.compare (seq a) (seq b))
-      s.spending
-  in
-  let links = Hashtbl.create 16 in
-  let msgs = ref [] and first_timer = ref None in
-  List.iter
-    (fun p ->
-      match p with
-      | Pend_msg m ->
-          if is_unordered t m.pdst then msgs := p :: !msgs
-          else if not (Hashtbl.mem links (m.psrc, m.pdst)) then begin
-            Hashtbl.add links (m.psrc, m.pdst) ();
-            msgs := p :: !msgs
-          end
-      | Pend_timer _ -> if !first_timer = None then first_timer := Some p)
-    in_order;
-  let msgs =
-    List.sort
-      (fun a b ->
-        match (a, b) with
-        | Pend_msg x, Pend_msg y -> (
-            match Int.compare x.psrc y.psrc with
-            | 0 -> (
-                match Int.compare x.pdst y.pdst with
-                | 0 -> Int.compare x.plseq y.plseq
-                | c -> c)
-            | c -> c)
-        | _ -> 0)
-      !msgs
-  in
-  let picks =
-    Array.of_list (msgs @ match !first_timer with None -> [] | Some p -> [ p ])
-  in
-  let choices =
-    Array.map
-      (function
-        | Pend_msg m ->
-            {
-              link_src = m.psrc;
-              link_dst = m.pdst;
-              link_seq = (if is_unordered t m.pdst then m.plseq else -1);
-              link_tag = t.label m.ppayload;
-            }
-        | Pend_timer _ ->
-            { link_src = 0; link_dst = 0; link_seq = -1; link_tag = "timer" })
-      picks
-  in
-  (choices, picks)
-
-let sched_remove s pseq =
-  s.spending <-
-    List.filter
-      (function Pend_msg m -> m.pseq <> pseq | Pend_timer p -> p.pseq <> pseq)
-      s.spending
+(* Carry out the [i]-th enabled event, found by the walk [sched_enabled]
+   makes: links from [li] on, then the timer. *)
+let rec sched_fire t s li i =
+  if li = s.nlinks then
+    let { tparent; callback } = Queue.take s.timers in
+    fire_timer t ~parent:tparent callback
+  else
+    let l = s.links.(li) in
+    let c = offered l in
+    if i >= c then sched_fire t s (li + 1) (i - c)
+    else
+      let m = take_nth l.lqueue i in
+      deliver t ~src:l.lsrc ~dst:l.ldst ~parent:m.mparent m.mpayload
 
 let rec sched_step t s =
-  let choices, picks = sched_enabled t s in
-  if Array.length choices = 0 then false
+  if t.faults_active then sched_sweep_dead t s;
+  let choices = sched_enabled s in
+  let count = Array.length choices in
+  if count = 0 then false
   else
     match s.policy choices with
     | Crash_now p ->
@@ -642,16 +654,11 @@ let rec sched_step t s =
         make_byzantine t p;
         sched_step t s
     | Deliver_next i ->
-        if i < 0 || i >= Array.length picks then
+        if i < 0 || i >= count then
           invalid_arg "Network: scheduler chose an out-of-range event";
         t.clock.(0) <- t.clock.(0) +. 1.;
-        (match picks.(i) with
-        | Pend_timer { pseq; tparent; callback } ->
-            sched_remove s pseq;
-            fire_timer t ~parent:tparent callback
-        | Pend_msg { pseq; psrc; pdst; ppayload; pparent; plseq = _ } ->
-            sched_remove s pseq;
-            deliver t ~src:psrc ~dst:pdst ~parent:pparent ppayload);
+        s.waiting <- s.waiting - 1;
+        sched_fire t s 0 i;
         true
 
 let step t =
@@ -746,12 +753,16 @@ let clone_quiescent t =
     count_crashes = t.count_crashes;
     count_crash_idx = t.count_crash_idx;
     sched =
-      (* Quiescence means no pending entries to copy; the clone keeps the
-         same policy so its future deliveries stay adversary-driven, and
-         its own ordinal table so the original's sends don't leak in. *)
+      (* Quiescence means empty queues; the clone keeps the policy, so its
+         deliveries stay adversary-driven, and its own copy of every link,
+         so ordinals continue without the original's later sends leaking
+         in. *)
       Option.map
         (fun s ->
-          { s with spending = []; link_seqs = Hashtbl.copy s.link_seqs })
+          let copy i = { (s.links.(i)) with lqueue = Queue.create () } in
+          { (new_sched s.policy) with
+            links = Array.init s.nlinks copy; nlinks = s.nlinks;
+            sent = s.sent })
         t.sched;
   }
 

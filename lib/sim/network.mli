@@ -97,7 +97,13 @@ val declare_unordered : 'msg t -> int -> unit
     protocols declare their store processor unordered so the checker can
     interleave a retried RPC past the original it duplicates — the
     reorderings compare-and-swap exists to survive. No effect on the
-    timed (heap) engine, whose order the delay model already decides. *)
+    timed (heap) engine, whose order the delay model already decides.
+
+    It affects only messages sent after it: a scheduler fixes each
+    link's order when the link carries its first message, so a link
+    into [p] used before the call stays FIFO. Declare the destination in
+    the counter's [create], before its first send, as
+    [Core.Durable_counter.create_raw] does. *)
 
 exception
   Storm of { max_steps : int; pending : int; now : float; deliveries : int }

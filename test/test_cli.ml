@@ -78,13 +78,8 @@ let test_mc_prune_none () =
   check_exit "bad prune mode = exit 2" 2 "mc -c central -n 3 --prune bogus"
 
 let test_mc_probabilistic_faults_rejected () =
-  (* Invalid_argument escapes as a crash, not 0/1/3 — any of the cmdliner
-     error codes is acceptable; it must not look like a verdict. *)
-  let code = run "mc -c central -n 3 --faults drop:0.5" in
-  Alcotest.(check bool)
-    (Printf.sprintf "drop plan rejected (exit %d)" code)
-    true
-    (code <> 0 && code <> 1 && code <> 3)
+  (* A plan the explorer cannot check is a usage error, not a verdict. *)
+  check_exit "drop plan rejected" 2 "mc -c central -n 3 --faults drop:0.5"
 
 let test_mc_crash_faults () =
   check_exit "adversarial crash exploration" 0
@@ -468,13 +463,38 @@ let test_out_of_range_exit_2 () =
       "run -c retire-tree -n 8 -s explicit:0";
       "run -c retire-tree -n 8 -s explicit:9";
       "mc -c central -n 3 -s explicit:7";
+      "mc -c central -n 3 --faults dup:0.1";
+      "mc -c central -n 3 --faults drop:1,2:0.5";
+      "mc -c central -n 3 --faults part:1-2@1,5";
+      "mc -c central -n 3 --faults sdrop:0.1";
+      "mc -c central -n 3 --faults crash:9@1";
+      "mc -c central -n 3 --faults byz:9@1";
+      "mc --all -n 3 --faults drop:0.1";
+      "mc --all -n 3 --faults crash:9@1";
+      "mc -c central -n 3 --max-states=-5";
+      "mc -c central -n 3 --max-depth=-1";
       "chaos -c retire-tree -n 8 --drops 1.5";
       "chaos -c retire-tree -n 8 --dup 1.5";
       "chaos -c retire-tree -n 8 --drops=-0.1";
       "run -c central -n 4 --delay constant:-1";
       "run -c central -n 4 --delay constant:inf";
       "run -c central -n 4 --delay jitter:-2";
-    ]
+    ];
+  (* A counterexample file whose plan the explorer cannot check. *)
+  let bad = Filename.concat tmp "dcount_cli_plan.mcs" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove bad with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun plan ->
+          Out_channel.with_open_text bad (fun oc ->
+              Printf.fprintf oc
+                "counter=race-reply\nn=3\nseed=42\nschedule=each-once\n\
+                 faults=%s\nproperty=values-wrong\ndecisions=2>1\n"
+                plan);
+          check_exit ("mc --replay with faults=" ^ plan ^ " = exit 2") 2
+            ("mc --replay " ^ Filename.quote bad))
+        [ "drop:0.1"; "crash:9@1" ])
 
 let test_unknown_counter_rejected () =
   let mc = run "mc -c no-such-counter -n 3" in

@@ -22,7 +22,11 @@ let test_satisfied_by () =
   Alcotest.(check bool) "20 >= k(81)=3" true
     (LB.satisfied_by ~n:81 ~bottleneck_load:20);
   Alcotest.(check bool) "2 < k(81)=3" false
-    (LB.satisfied_by ~n:81 ~bottleneck_load:2)
+    (LB.satisfied_by ~n:81 ~bottleneck_load:2);
+  (* One processor increments locally: no message is needed, so the
+     theorem asks nothing of it. *)
+  Alcotest.(check bool) "n = 1 needs no message" true
+    (LB.satisfied_by ~n:1 ~bottleneck_load:0)
 
 (* ------------------------------------------------------------------ *)
 (* Weights *)

@@ -44,6 +44,16 @@ let test_simple_counters_exhaustive () =
       check Alcotest.bool (name ^ " exhausted") true (is_exhausted o))
     [ "static-tree"; "combining"; "counting-net"; "diffracting" ]
 
+let test_single_processor_no_bound () =
+  (* At n = 1 the each-once schedule is one local increment with no
+     message: bottleneck load 0 is no lower-bound violation. *)
+  List.iter
+    (fun name ->
+      let o = explore name ~n:1 in
+      check Alcotest.bool (name ^ " exhausted at n = 1") true (is_exhausted o))
+    [ "central"; "combining"; "quorum-majority"; "quorum-grid"; "quorum-tree";
+      "quorum-crumbling-wall" ]
+
 let test_retire_tree_exhaustive_small () =
   (* Full each-once at n = 8 explodes once retirements cascade (measured:
      > 3M decision points by the 4th operation), so the exhaustive claim
@@ -302,6 +312,63 @@ let test_probabilistic_plans_rejected () =
     (fun () -> ignore (explore "durable" ~n:2 ~faults:(crash_plan "sdup:0.5")))
 
 (* ------------------------------------------------------------------ *)
+(* Exact exploration statistics: one row per scheduler-mode feature, as
+   [dcount mc] prints them for the same plan. Any change to the enabled
+   sets, their order or the decision keys moves at least one figure. *)
+
+let stats_golden ~name ~n ~schedule ~faults ~max_states ~max_depth ~verdict
+    (executions, states, max_depth_seen, max_enabled, sleep_skips,
+     depth_capped) =
+  let schedule =
+    match Counter.Schedule.of_string schedule with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "bad schedule: %s" e
+  in
+  let o =
+    explore name ~n ~schedule ~faults:(crash_plan faults)
+      ~config:{ Mc.Explore.default_config with max_states; max_depth }
+  in
+  let got =
+    match o.verdict with
+    | Mc.Explore.Exhausted_ok -> "exhausted"
+    | Mc.Explore.Budget_exhausted -> "budget"
+    | Mc.Explore.Violation_found v -> Mc.Explore.property_name v.property
+  in
+  check Alcotest.string (name ^ " verdict") verdict got;
+  let s = o.stats in
+  check
+    Alcotest.(list int)
+    (name ^ " executions/states/max_depth/max_enabled/sleep_skips/depth_capped")
+    [ executions; states; max_depth_seen; max_enabled; sleep_skips;
+      depth_capped ]
+    Mc.Explore.
+      [ s.executions; s.states; s.max_depth_seen; s.max_enabled;
+        s.sleep_skips; s.depth_capped ]
+
+let test_stats_plain_links () =
+  stats_golden ~name:"retire-tree" ~n:8 ~schedule:"explicit:1,8,4,2"
+    ~faults:"none" ~max_states:20_000 ~max_depth:400 ~verdict:"budget"
+    (137, 20_000, 56, 8, 50_187, 0)
+
+let test_stats_timers_and_sweep () =
+  stats_golden ~name:"ft-no-handoff" ~n:8 ~schedule:"explicit:2,5"
+    ~faults:"crash:1@99" ~max_states:200_000 ~max_depth:6
+    ~verdict:"duplicate-value"
+    (367, 93, 6, 13, 131, 20_035)
+
+let test_stats_unordered_and_revival () =
+  stats_golden ~name:"durable-no-cas" ~n:2 ~schedule:"explicit:2"
+    ~faults:"crash:1@99/recover:1@120" ~max_states:300_000 ~max_depth:10
+    ~verdict:"manifest-regressed"
+    (5_460, 2_647, 10, 7, 38, 117_526)
+
+let test_stats_byzantine_turn () =
+  stats_golden ~name:"sync-count" ~n:4 ~schedule:"explicit:1"
+    ~faults:"byz:2@99/byzval:2:off-by-1/byzeq:2" ~max_states:4_000
+    ~max_depth:100 ~verdict:"budget"
+    (1_379, 4_000, 61, 9, 1_403, 0)
+
+(* ------------------------------------------------------------------ *)
 (* Durable counter: the recover adversary and the oswald spec properties *)
 
 let recover_plan = crash_plan "crash:1@99/recover:1@120"
@@ -489,6 +556,8 @@ let () =
           Alcotest.test_case "retire-tree 3 ops" `Quick
             test_retire_tree_exhaustive_small;
           Alcotest.test_case "quorum 2 ops" `Quick test_quorum_exhaustive_small;
+          Alcotest.test_case "one processor, no bound" `Quick
+            test_single_processor_no_bound;
         ] );
       ( "broken",
         [
@@ -525,6 +594,16 @@ let () =
           Alcotest.test_case "quorum crash" `Quick test_crash_branching_quorum;
           Alcotest.test_case "probabilistic rejected" `Quick
             test_probabilistic_plans_rejected;
+        ] );
+      ( "stats goldens",
+        [
+          Alcotest.test_case "plain links" `Quick test_stats_plain_links;
+          Alcotest.test_case "timers and the crash sweep" `Quick
+            test_stats_timers_and_sweep;
+          Alcotest.test_case "unordered store and a revival" `Quick
+            test_stats_unordered_and_revival;
+          Alcotest.test_case "a Byzantine turn" `Quick
+            test_stats_byzantine_turn;
         ] );
       ( "durable",
         [

@@ -632,6 +632,127 @@ let test_network_scheduler_mode () =
     = [| { link_src = 2; link_dst = 1; link_seq = -1; link_tag = "pong" };
          timer |])
 
+(* A choice as "src>dst#seq:tag", for readable enabled-set comparisons. *)
+let show_choice (c : Sim.Network.choice) =
+  Printf.sprintf "%d>%d#%d:%s" c.link_src c.link_dst c.link_seq c.link_tag
+
+let test_network_scheduler_unordered () =
+  (* Destination 3 is unordered: every message queued for it is enabled,
+     named by its per-link ordinal, while the FIFO link 1 -> 2 offers
+     only its head. The array is ordered by (src, dst, ordinal), not by
+     send order. *)
+  let offered = ref [] in
+  let picks = ref [ 2; 0; 0; 0; 0; 0 ] in
+  let policy choices =
+    offered := List.map show_choice (Array.to_list choices) :: !offered;
+    match !picks with
+    | i :: rest ->
+        picks := rest;
+        Sim.Network.Deliver_next i
+    | [] -> Sim.Network.Deliver_next 0
+  in
+  let net =
+    Sim.Network.with_scheduler policy (fun () ->
+        Sim.Network.create ~label:string_of_int ~n:3 ())
+  in
+  Sim.Network.declare_unordered net 3;
+  let received = ref [] in
+  Sim.Network.set_handler net (fun ~self:_ ~src:_ msg ->
+      received := msg :: !received);
+  List.iter
+    (fun (src, dst, msg) -> Sim.Network.send net ~src ~dst msg)
+    [ (2, 3, 20); (1, 3, 10); (1, 2, 1); (2, 3, 21); (1, 3, 11); (1, 2, 2) ];
+  check Alcotest.int "pending" 6 (Sim.Network.pending net);
+  check Alcotest.int "steps" 6 (Sim.Network.run_to_quiescence net);
+  Alcotest.(check (list (list string)))
+    "first two enabled sets"
+    [
+      [ "1>2#-1:1"; "1>3#0:10"; "1>3#1:11"; "2>3#0:20"; "2>3#1:21" ];
+      [ "1>2#-1:1"; "1>3#0:10"; "2>3#0:20"; "2>3#1:21" ];
+    ]
+    (match List.rev !offered with a :: b :: _ -> [ a; b ] | l -> l);
+  Alcotest.(check (list int))
+    "a later send overtakes an earlier one on the unordered link"
+    [ 11; 1; 2; 10; 20; 21 ] (List.rev !received)
+
+let test_network_scheduler_crash_sweep () =
+  (* Crashing 3 between decisions discards the three messages queued for
+     it before the next enumeration: each is charged as a drop and
+     annotated in global send order (2 -> 3 first), not in link order. *)
+  let net_ref = ref None in
+  let seen = ref [] in
+  let policy choices =
+    let net = Option.get !net_ref in
+    seen :=
+      ( Sim.Network.pending net,
+        Sim.Metrics.dropped (Sim.Network.metrics net),
+        List.map show_choice (Array.to_list choices) )
+      :: !seen;
+    if List.length !seen = 1 then Sim.Network.Crash_now 3
+    else Sim.Network.Deliver_next 0
+  in
+  let net =
+    Sim.Network.with_scheduler policy (fun () ->
+        Sim.Network.create ~label:(function Ping -> "ping" | Pong -> "pong")
+          ~n:3 ())
+  in
+  net_ref := Some net;
+  Sim.Network.set_handler net (fun ~self:_ ~src:_ (_ : ping) -> ());
+  Sim.Network.begin_op net ~origin:1;
+  List.iter
+    (fun (src, dst) -> Sim.Network.send net ~src ~dst Ping)
+    [ (2, 3); (1, 3); (1, 2); (2, 3) ];
+  check Alcotest.int "steps" 1 (Sim.Network.run_to_quiescence net);
+  let trace = Sim.Network.end_op net in
+  Alcotest.(check (list (pair int int)))
+    "pending and drops at each decision"
+    [ (4, 0); (1, 3) ]
+    (List.rev_map (fun (p, d, _) -> (p, d)) !seen);
+  Alcotest.(check (list string))
+    "only the live link is offered after the crash" [ "1>2#-1:ping" ]
+    (match !seen with (_, _, c) :: _ -> c | [] -> []);
+  Alcotest.(check (list (list int)))
+    "crash, then drops in send order"
+    [ [ 3; 3; 0 ]; [ 2; 3; 1 ]; [ 1; 3; 1 ]; [ 2; 3; 1 ] ]
+    (List.map
+       (fun (f : Sim.Trace.fault) ->
+         [ f.fault_src; f.fault_dst;
+           (match f.kind with Sim.Trace.Dropped -> 1 | _ -> 0) ])
+       (Sim.Trace.faults trace))
+
+let test_network_scheduler_clone () =
+  (* A scheduler-mode clone keeps the policy and continues each link's
+     ordinals from the original, but owns them: sends on the original
+     after the clone neither advance the clone's ordinals nor show up in
+     its pool. *)
+  let offered = ref [] in
+  let policy choices =
+    offered := List.map show_choice (Array.to_list choices) :: !offered;
+    Sim.Network.Deliver_next 0
+  in
+  let net =
+    Sim.Network.with_scheduler policy (fun () ->
+        Sim.Network.create ~label:string_of_int ~n:2 ())
+  in
+  Sim.Network.declare_unordered net 2;
+  Sim.Network.set_handler net (fun ~self:_ ~src:_ (_ : int) -> ());
+  Sim.Network.send net ~src:1 ~dst:2 0;
+  Sim.Network.send net ~src:1 ~dst:2 1;
+  ignore (Sim.Network.run_to_quiescence net);
+  let clone = Sim.Network.clone_quiescent net in
+  check Alcotest.bool "clone is scheduled" true
+    (Sim.Network.has_scheduler clone);
+  Sim.Network.set_handler clone (fun ~self:_ ~src:_ (_ : int) -> ());
+  Sim.Network.send net ~src:1 ~dst:2 2;
+  Sim.Network.send clone ~src:1 ~dst:2 7;
+  check Alcotest.int "clone pending" 1 (Sim.Network.pending clone);
+  offered := [];
+  check Alcotest.int "clone steps" 1 (Sim.Network.run_to_quiescence clone);
+  ignore (Sim.Network.run_to_quiescence net);
+  Alcotest.(check (list (list string)))
+    "clone, then original" [ [ "1>2#2:7" ]; [ "1>2#2:2" ] ]
+    (List.rev !offered)
+
 let prop_network_message_conservation =
   QCheck2.Test.make ~name:"total load = 2 * messages (echo protocol)"
     ~count:50
@@ -724,5 +845,11 @@ let () =
           Alcotest.test_case "same-link overtaking" `Quick test_network_same_link_overtaking;
           Alcotest.test_case "scheduler mode" `Quick test_network_scheduler_mode;
           q prop_network_message_conservation;
+          Alcotest.test_case "scheduler unordered destination" `Quick
+            test_network_scheduler_unordered;
+          Alcotest.test_case "scheduler crash sweep" `Quick
+            test_network_scheduler_crash_sweep;
+          Alcotest.test_case "scheduler clone" `Quick
+            test_network_scheduler_clone;
         ] );
     ]
