@@ -1,6 +1,6 @@
 (* Throughput benchmark suite for the simulation engine.
 
-   Five sections, each reported as events (or ops) per second plus words
+   Six sections, each reported as events (or ops) per second plus words
    allocated per event (from [Gc] counters):
 
    1. heap      — raw push/pop on the frozen seed binary heap
@@ -13,20 +13,16 @@
                   regardless of n, comparable with BENCH_1) and a scaled
                   load whose delivery count grows with n, so per-event cost
                   at large n is not drowned by a tiny working set.
-   3. par       — the sharded conservative engine [Sim.Par]: the same relay
-                  at n up to 10^6 across a domain matrix {1, 2, 4, 8}, with
-                  an in-run assertion that every domain count reproduces the
-                  single-domain load checksum bit-for-bit.
-   4. counters  — sequential increments/second for a representative counter
+   3. counters  — sequential increments/second for a representative counter
                   subset at the network scales.
-   5. parallel  — a multi-seed sweep through [Analysis.Replicate], timed
+   4. parallel  — a multi-seed sweep through [Analysis.Replicate], timed
                   sequentially and across domains.
-   6. load      — the open-loop load engine [Counter.Driver.run_load]:
+   5. load      — the open-loop load engine [Counter.Driver.run_load]:
                   wall-clock ops/second simulating a fixed arrival-rate
                   run for a representative concurrent subset, plus the
                   virtual-time p99 latency and peak overlap each run
                   reports.
-   7. byz       — the Byzantine resilience tax: sync-count's phase-king
+   6. byz       — the Byzantine resilience tax: sync-count's phase-king
                   msgs/op against the crash-tolerant retire-ft and
                   quorum-majority at the same n, plus a corrupted run
                   under the b = f king plan proving the message count is
@@ -45,12 +41,14 @@ module Json = Analysis.Json
 
 let now () = Unix.gettimeofday ()
 
-(* Total words allocated so far by this domain. [promoted_words] is
-   subtracted because promotion would otherwise count an allocation twice
-   (once minor, once major). *)
+(* Total words allocated so far by this domain. The minor part comes
+   from [Gc.minor_words ()]: [quick_stat]'s [minor_words] only advances
+   when a minor collection runs, so it moves in whole minor heaps.
+   [promoted_words] is subtracted because promotion would otherwise count
+   an allocation twice (once minor, once major). *)
 let allocated_words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* Measured repetitions per benchmark (after one warm-up run); the fastest
    rep is reported. Best-of-k rather than mean because the regression gate
@@ -239,88 +237,7 @@ let network_section ~smoke ~sizes =
   Json.List rows
 
 (* ------------------------------------------------------------------ *)
-(* Section 3: sharded conservative engine.
-
-   The same relay workload on [Sim.Par]: contiguous processor blocks per
-   domain, per-link lookahead, barrier rounds to the safe horizon. The
-   relay's next hop is a pure function of (receiver, hop budget), so the
-   message multiset — and therefore the per-processor load vector — is
-   independent of delivery interleaving: every domain count must produce
-   the same [Sim.Metrics.checksum]. The benchmark asserts that on every
-   row; a mismatch is an engine bug, not a slow run.
-
-   Words/event is measured by this (coordinating) domain's Gc counters
-   only — OCaml Gc statistics are per-domain, so for domains > 1 the
-   figure undercounts worker allocation and is reported as such. *)
-
-let bench_par ~n ~domains ~target_events =
-  let t = Sim.Par.create ~seed:99 ~domains ~n () in
-  Sim.Par.set_handler t (fun ctx ~src:_ hops ->
-      if hops > 0 then
-        let self = Sim.Par.self ctx in
-        let dst = 1 + (((self * 2654435761) + hops) mod n) in
-        Sim.Par.send ctx ~dst (hops - 1));
-  let injections = min n 256 in
-  let hops = max 1 (target_events / injections) in
-  for i = 1 to injections do
-    Sim.Par.inject t ~src:i ~dst:(1 + (i * 7919 mod n)) hops
-  done;
-  let events = Sim.Par.run_to_quiescence t in
-  (events, Sim.Metrics.checksum (Sim.Par.metrics t))
-
-let par_section ~smoke =
-  let sizes = if smoke then [ 1_000 ] else [ 10_000; 100_000; 1_000_000 ] in
-  let domain_counts = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let target_events = if smoke then 20_000 else 400_000 in
-  pr "== par: sharded relay, ~%d deliveries, domains in {%s} ==\n"
-    target_events
-    (String.concat ", " (List.map string_of_int domain_counts));
-  let rows =
-    List.concat_map
-      (fun n ->
-        let baseline = ref None in
-        List.map
-          (fun domains ->
-            let (events, sum), t, w =
-              measure (fun () -> bench_par ~n ~domains ~target_events)
-            in
-            (match !baseline with
-            | None -> baseline := Some (sum, rate events t)
-            | Some (base_sum, _) ->
-                if sum <> base_sum then
-                  failwith
-                    (Printf.sprintf
-                       "par benchmark: checksum diverged at n=%d domains=%d"
-                       n domains));
-            let speedup =
-              match !baseline with
-              | Some (_, base_rate) -> rate events t /. base_rate
-              | None -> 1.0
-            in
-            pr
-              "  n = %7d  domains = %d: %8d events  %10.0f events/s  \
-               %5.2fx vs 1 domain\n"
-              n domains events (rate events t) speedup;
-            Json.Obj
-              [
-                ("n", Json.int n);
-                ("domains", Json.int domains);
-                ("deliveries", Json.int events);
-                ("events_per_sec", Json.Num (rate events t));
-                ("words_per_event", Json.Num (w /. float_of_int events));
-                ("speedup_vs_1", Json.Num speedup);
-                (* as a string: Json numbers are doubles, and a 63-bit
-                   checksum would silently lose low bits *)
-                ("checksum", Json.Str (string_of_int sum));
-              ])
-          domain_counts)
-      sizes
-  in
-  pr "\n";
-  Json.List rows
-
-(* ------------------------------------------------------------------ *)
-(* Section 4: counters.
+(* Section 3: counters.
 
    Sequential increments/second for a representative subset: the central
    server (message-cheap, maximally contended), the paper's retire-tree,
@@ -397,7 +314,7 @@ let counters_section ~smoke ~sizes =
   Json.List rows
 
 (* ------------------------------------------------------------------ *)
-(* Section 5: multi-seed sweep across domains. *)
+(* Section 4: multi-seed sweep across domains. *)
 
 let sweep_run ~n seed =
   let r =
@@ -437,7 +354,7 @@ let parallel_section ~smoke =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Section 6: open-loop load engine.
+(* Section 5: open-loop load engine.
 
    [Driver.run_load] at fixed per-source arrival rates, exp:1 delays (the
    [dcount load] default, so the overlap regime is exercised rather than
@@ -497,7 +414,7 @@ let load_section ~smoke =
   Json.List rows
 
 (* ------------------------------------------------------------------ *)
-(* Section 7: Byzantine resilience tax.
+(* Section 6: Byzantine resilience tax.
 
    What does tolerating f < n/3 corrupt processors cost per increment
    compared to counters that only survive crashes? sync-count's
@@ -684,12 +601,7 @@ let validate file =
     [ "n"; "events_per_sec"; "words_per_event" ]
     (if v2 then [ "work" ] else []);
   check_rows "counters" [ "n"; "ops_per_sec"; "messages_per_op" ] [];
-  if v2 then begin
-    check_rows "par"
-      [ "n"; "domains"; "events_per_sec"; "speedup_vs_1" ]
-      [ "checksum" ];
-    ignore (validate_field doc [ "profile" ] Json.to_str)
-  end;
+  if v2 then ignore (validate_field doc [ "profile" ] Json.to_str);
   if version >= 3 then
     check_rows "load"
       [ "n"; "rate"; "ops_per_sec"; "p99_virtual"; "peak_overlap" ]
@@ -751,19 +663,6 @@ let samples_of_doc doc =
         | _ -> None)
       (rows "network")
   in
-  let par =
-    List.filter_map
-      (fun row ->
-        match
-          ( get row "n" Json.to_float,
-            get row "domains" Json.to_float,
-            get row "events_per_sec" Json.to_float )
-        with
-        | Some n, Some d, Some r ->
-            Some (Printf.sprintf "par/n=%.0f/domains=%.0f" n d, r)
-        | _ -> None)
-      (rows "par")
-  in
   let counters =
     List.filter_map
       (fun row ->
@@ -803,7 +702,7 @@ let samples_of_doc doc =
         | _ -> None)
       (rows "byz")
   in
-  heap @ network @ par @ counters @ load @ byz
+  heap @ network @ counters @ load @ byz
 
 let doc_mode doc =
   Option.value
@@ -909,7 +808,6 @@ let () =
         Build_info.flambda;
       let heap = heap_section ~smoke in
       let network = network_section ~smoke ~sizes in
-      let par = par_section ~smoke in
       let counters = counters_section ~smoke ~sizes in
       let parallel = parallel_section ~smoke in
       let load = load_section ~smoke in
@@ -923,7 +821,6 @@ let () =
             ("flambda", Json.Bool Build_info.flambda);
             ("heap", heap);
             ("network", network);
-            ("par", par);
             ("counters", counters);
             ("parallel", parallel);
             ("load", load);

@@ -85,6 +85,16 @@ let guard_origins cmd counter n schedule =
         e C.name n;
       exit 2
 
+(* An output file the run cannot create is a usage error, reported the
+   way a missing input file is. *)
+let write_file cmd path contents =
+  try
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc contents)
+  with Sys_error e ->
+    Format.eprintf "dcount %s: %s@." cmd e;
+    exit 2
+
 let counter_arg =
   Arg.(
     value
@@ -1078,9 +1088,7 @@ let compare_cmd =
         Format.printf "bottleneck message load, each-processor-once:@.%a@."
           Analysis.Table.pp t
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Analysis.Table.to_csv t);
-        close_out oc;
+        write_file "compare" path (Analysis.Table.to_csv t);
         Format.printf "wrote %s@." path
   in
   let csv_arg =
@@ -1170,6 +1178,10 @@ let trace_cmd =
 
 let dot_cmd =
   let run counter n seed op output =
+    if op < 0 then begin
+      Format.eprintf "dcount dot: --op must be >= 0, got %d@." op;
+      exit 2
+    end;
     let (module C : Counter.Counter_intf.S) = counter in
     let n = C.supported_n n in
     let c = C.create ~seed ~n () in
@@ -1185,9 +1197,7 @@ let dot_cmd =
         match output with
         | None -> print_string dot
         | Some path ->
-            let oc = open_out path in
-            output_string oc dot;
-            close_out oc;
+            write_file "dot" path dot;
             Format.printf "wrote %s (render with: dot -Tsvg %s -o fig1.svg)@."
               path path)
   in
@@ -1431,8 +1441,7 @@ let mc_cmd =
               Mc.Replay.of_violation ~counter:C.name
                 ~n:(C.supported_n n) ~seed ~schedule ~faults v
             in
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (Mc.Replay.to_string cx));
+            write_file "mc" path (Mc.Replay.to_string cx);
             Format.printf "wrote counterexample to %s@." path
         | _ -> ());
         match outcome.Mc.Explore.verdict with
@@ -1644,7 +1653,13 @@ let lint_cmd =
 (* bound *)
 
 let bound_cmd =
-  let run ns = Format.printf "%a@." Core.Lower_bound.pp_table ns in
+  let run ns =
+    match List.find_opt (fun n -> n < 1) ns with
+    | Some n ->
+        Format.eprintf "dcount bound: --sizes: n must be >= 1, got %d@." n;
+        exit 2
+    | None -> Format.printf "%a@." Core.Lower_bound.pp_table ns
+  in
   let ns_arg =
     Arg.(
       value

@@ -3,8 +3,8 @@
    Mutable state captured by a closure handed to Domain.spawn and also
    touched outside it is a data race unless every access carries
    syntactic protection evidence: an Atomic (never recorded as mutable
-   access), a Mutex bracket in the same function (the ctrl.m pattern in
-   lib/sim/par.ml), or the join-publication discipline (workers write,
+   access), a Mutex bracket in the same function (lock, access,
+   unlock), or the join-publication discipline (workers write,
    the coordinator reads only after Domain.join — Analysis.Replicate).
    Anything else needs its ownership argument written down in the
    [@dlint.allow "R1: ..."] ledger. One diagnostic per root per file,

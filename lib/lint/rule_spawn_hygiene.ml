@@ -4,13 +4,13 @@
    binding reachable from it, intra-file) must not: draw from an Rng
    stream (per-domain draws interleave nondeterministically with the
    seeded stream — derive a keyed stream outside the closure instead),
-   mutate the sequential Sim.Network engine (single-domain state; cross-
-   domain traffic goes through Par's mail/outbox discipline), or swallow
-   exceptions (a silently dead worker deadlocks the barrier). The one
-   sanctioned exception shape is Par's propagation channel: catch, park
-   the exception in shared state for the coordinator, keep the handshake
-   alive — recognized as a handler that binds the exception and stores
-   it with a mutation. *)
+   mutate the sequential Sim.Network engine (single-domain state; workers
+   hand plain data back and the coordinator applies it after
+   Domain.join), or swallow exceptions (a silently dead worker deadlocks
+   the barrier). The one sanctioned exception shape is a propagation
+   channel: catch, park the exception in shared state for the
+   coordinator, keep the handshake alive — recognized as a handler that
+   binds the exception and stores it with a mutation. *)
 
 let rng_draws =
   [
@@ -110,9 +110,9 @@ let has_mutation (e : Ppxlib.expression) =
   it#expression e;
   !found
 
-(* Par's worker-exception channel: [with e -> ctrl.failure <- Some e;
-   keep the handshake alive]. The handler must bind the exception and
-   visibly store it. *)
+(* A worker-exception channel: [with e -> failure <- Some e; keep the
+   handshake alive]. The handler must bind the exception and visibly
+   store it. *)
 let parks (c : Ppxlib.case) =
   match case_var c.pc_lhs with
   | Some v -> mentions v c.pc_rhs && has_mutation c.pc_rhs
@@ -129,9 +129,8 @@ let check_case ctx (c : Ppxlib.case) =
         "exception swallowed inside a spawned domain context — a silent \
          worker death deadlocks the barrier"
       ~hint:
-        "re-raise, or park the exception for the coordinator the way \
-         Par's worker-exception channel does (bind it and store it in \
-         shared failure state)"
+        "re-raise, or park the exception for the coordinator (bind it \
+         and store it in shared failure state)"
 
 let walk_body ctx (body : Ppxlib.expression) =
   let it =
@@ -162,8 +161,9 @@ let walk_body ctx (body : Ppxlib.expression) =
                   "Sim.Network mutation inside a spawned domain context — \
                    the sequential engine is single-domain state"
                 ~hint:
-                  "route cross-domain events through Par's mail/outbox \
-                   discipline instead of touching the engine directly"
+                  "keep the engine on the coordinating domain: return \
+                   plain data from the worker and apply it after \
+                   Domain.join"
         | Pexp_try (_, cases) -> List.iter (check_case ctx) cases
         | Pexp_match (_, cases) ->
             List.iter

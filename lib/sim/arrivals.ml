@@ -49,9 +49,9 @@ let of_string s =
   (match validate t with () -> () | exception Invalid_argument _ -> fail ());
   t
 
-(* Domain-separation tag for the keyed per-source streams, so arrival
-   draws can never collide with the Par engine's (sender, send-index)
-   message keys. *)
+(* Second key of every source's [Rng.keyed] stream. The value is part
+   of the arrival schedule: changing it would move every open-loop
+   arrival time. *)
 let stream_tag = 0x41525256 (* "ARRV" *)
 
 type source = {

@@ -61,9 +61,10 @@ let ensure_capacity t fill =
     t.values <- values
   end
 
-let push_keyed t ~prio ~key value =
+let push t ~prio value =
   ensure_capacity t value;
-  let seq = key in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let prios = t.prios and seqs = t.seqs and values = t.values in
   (* Sift the hole up from the end; parents shift down into it. *)
   let i = ref t.len in
@@ -83,11 +84,6 @@ let push_keyed t ~prio ~key value =
   prios.(!i) <- prio;
   seqs.(!i) <- seq;
   values.(!i) <- value
-
-let push t ~prio value =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  push_keyed t ~prio ~key:seq value
 
 (* Re-inserts (prio, seq, value) starting from a hole at the root. *)
 let sift_down_from_root t prio seq value =
@@ -126,10 +122,6 @@ let peek t = if t.len = 0 then None else Some (t.prios.(0), t.values.(0))
 let top_prio t =
   if t.len = 0 then invalid_arg "Heap.top_prio: empty heap";
   t.prios.(0)
-
-let top_key t =
-  if t.len = 0 then invalid_arg "Heap.top_key: empty heap";
-  t.seqs.(0)
 
 let pop_top t =
   if t.len = 0 then invalid_arg "Heap.pop_top: empty heap";

@@ -29,22 +29,6 @@ val push : 'a t -> prio:float -> 'a -> unit
 (** [push t ~prio x] inserts [x] with priority [prio]. O(log n),
     allocation-free once the backing arrays are warm. *)
 
-val push_keyed : 'a t -> prio:float -> key:int -> 'a -> unit
-(** Like {!push} but with a caller-supplied tie-break key instead of the
-    heap's own insertion counter: entries pop in [(prio, key)] order. The
-    sharded engine ({!Par}) uses this to impose one {e global} canonical order
-    across several per-shard heaps — each shard pops its local minimum and
-    the cross-shard merge compares [(prio, key)] pairs, so where an event
-    is stored cannot affect when it is delivered. Mixing [push] and
-    [push_keyed] on the same heap forfeits the FIFO-tie guarantee (the two
-    key spaces are unrelated); use one or the other per heap. Caller must
-    ensure [(prio, key)] pairs are distinct. *)
-
-val top_key : 'a t -> int
-(** Tie-break key of the element {!pop} would return ({!push_keyed}'s
-    [key], or the internal insertion counter for {!push}).
-    @raise Invalid_argument on an empty heap. *)
-
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element (earliest inserted among
     equals), or [None] when empty. O(log n). Allocates the option/tuple;

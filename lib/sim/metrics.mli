@@ -126,16 +126,4 @@ val copy : t -> t
 val merge_into : dst:t -> t -> unit
 (** Add all counts of the source into [dst] (for aggregating repetitions). *)
 
-val absorb_load : t -> p:int -> sent:int -> recv:int -> unit
-(** Bulk equivalent of [sent] {!on_send} plus [recv] {!on_recv} calls for
-    one processor — how {!Par} folds its shard-local flat counters into a
-    single table after a run. *)
-
-val absorb_faults :
-  t -> dropped:int -> duplicated:int -> crashes:int -> recoveries:int -> unit
-(** Bulk equivalent of the corresponding [on_*] fault charges. *)
-
-val absorb_byz : t -> byzantine:int -> corruptions:int -> unit
-(** Bulk equivalent of the corresponding Byzantine [on_*] charges. *)
-
 val pp_summary : Format.formatter -> t -> unit

@@ -35,14 +35,12 @@ let test_flags_racy_replicate () =
     "R1 fires on the pre-join read" true
     (List.mem "R1" rules)
 
-(* The swept engine sources must be drace-clean through the same
-   entry point the CLI uses — suppressions ledgered, nothing kept. *)
+(* The domain-parallel library source must be drace-clean through the
+   same entry point the CLI uses — nothing kept. *)
 let test_swept_sources_clean () =
-  List.iter
-    (fun file ->
-      let kept = drace_findings file in
-      Alcotest.(check (list string)) (file ^ " drace-clean") [] kept)
-    [ "../../lib/sim/par.ml"; "../../lib/analysis/replicate.ml" ]
+  let file = "../../lib/analysis/replicate.ml" in
+  Alcotest.(check (list string))
+    (file ^ " drace-clean") [] (drace_findings file)
 
 let test_lost_update () =
   (* two increments, checksum 2 — the race keeps exactly one *)

@@ -455,6 +455,10 @@ let test_usage_errors_exit_2 () =
 (* Values the parsers accept but the run cannot honour are usage errors
    too, not uncaught exceptions (exit 125). *)
 let test_out_of_range_exit_2 () =
+  let nowhere file =
+    Filename.quote
+      (Filename.concat (Filename.concat tmp "dcount_cli_no_such_dir") file)
+  in
   List.iter
     (fun args -> check_exit (args ^ " = exit 2") 2 args)
     [
@@ -479,6 +483,12 @@ let test_out_of_range_exit_2 () =
       "run -c central -n 4 --delay constant:-1";
       "run -c central -n 4 --delay constant:inf";
       "run -c central -n 4 --delay jitter:-2";
+      "bound --sizes=0";
+      "dot -c central -n 4 --op=-1";
+      "dot -c central -n 4 -o " ^ nowhere "x.dot";
+      "compare --sizes=4 --csv=" ^ nowhere "x.csv";
+      "mc -c race-reply -n 3 --expect-violation --counterexample-out "
+      ^ nowhere "x.mcs";
     ];
   (* A counterexample file whose plan the explorer cannot check. *)
   let bad = Filename.concat tmp "dcount_cli_plan.mcs" in
