@@ -259,6 +259,174 @@ let test_driver_reports_reproducible () =
   check Alcotest.int "messages" a.Counter.Driver.total_messages
     b.Counter.Driver.total_messages
 
+(* Every counter's full load vector, pinned before the counters moved onto
+   one generic host: a change that moves messages only on non-bottleneck
+   processors still changes [Sim.Metrics.checksum]. Outcomes (values and
+   stall reasons, in op order) and open-loop completions are pinned by an
+   MD5 digest of their rendering. *)
+let digest_outcomes outcomes =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map (Format.asprintf "%a" Counter.Counter_intf.pp_outcome)
+             outcomes)))
+
+let run_closed ?faults (module C : Counter.Counter_intf.S) ~n =
+  let n = C.supported_n n in
+  let c = C.create ~seed:42 ~delay:(Sim.Delay.Constant 1.0) ?faults ~n () in
+  let origins =
+    Counter.Schedule.origins Counter.Schedule.Each_once_shuffled
+      (Sim.Rng.create ~seed:43) ~n
+  in
+  let outcomes = List.map (fun origin -> C.inc_result c ~origin) origins in
+  let m = C.metrics c in
+  (Sim.Metrics.checksum m, Sim.Metrics.total_messages m, digest_outcomes outcomes)
+
+(* (name, load-vector checksum, total messages, outcome digest); n = 64
+   rounded by [supported_n], n = 7 for the phase-king counters. *)
+let closed_goldens =
+  [
+    ("retire-tree", 4286514196573460161, 1830, "624a24903876bc820a5451fb8484417a");
+    ("retire-tree-local", 4286514196573460161, 1830, "624a24903876bc820a5451fb8484417a");
+    ("retire-ft", 4286514196573460161, 1830, "624a24903876bc820a5451fb8484417a");
+    ("central", 4214963519709149231, 126, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("static-tree", 769855527440908532, 405, "624a24903876bc820a5451fb8484417a");
+    ("combining", 4398393453372293711, 768, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("counting-net", 697896527946910127, 512, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("periodic-net", 2216293488602642223, 704, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("diffracting", 473682229775901263, 320, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("quorum-majority", 2405723489755245039, 8192, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("quorum-grid", 3712374676986126319, 3584, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("quorum-tree", 1425778383909583857, 3520, "35c043f6fe28765319149cd230f93e73");
+    ("quorum-crumbling-wall", 3439658445911845823, 2748, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("quorum-projective-plane", 1151153470309594414, 6336, "4e03b3628549d2598b53200d2b89a8c7");
+    ("durable", 1007016607147314298, 318, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("sync-count", 1735325893595757405, 1974, "763a7168ad411aca2402e8a47849e4f3");
+    ("amnesiac", 81985529216486895, 0, "676a54a684883de3605110e8f2771a58");
+    ("race-reply", 1462711036353652515, 250, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("ft-no-handoff", 4286514196573460161, 1830, "624a24903876bc820a5451fb8484417a");
+    ("durable-no-cas", 812959547539872338, 1014, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("sync-no-threshold", 1735325893595757405, 1974, "763a7168ad411aca2402e8a47849e4f3");
+  ]
+
+let closed_size name =
+  if name = "sync-count" || name = "sync-no-threshold" then 7 else 64
+
+let every_counter () =
+  Baselines.Registry.all
+  @ (Baselines.Registry.sync_count :: Baselines.Registry.broken)
+
+let counter_name (module C : Counter.Counter_intf.S) = C.name
+
+let test_closed_goldens () =
+  List.iter
+    (fun c ->
+      let name = counter_name c in
+      let checksum, msgs, outcomes = run_closed c ~n:(closed_size name) in
+      match List.find_opt (fun (n, _, _, _) -> n = name) closed_goldens with
+      | None -> Alcotest.failf "%s: no golden" name
+      | Some (_, checksum', msgs', outcomes') ->
+          check Alcotest.int (name ^ ": checksum") checksum' checksum;
+          check Alcotest.int (name ^ ": messages") msgs' msgs;
+          check Alcotest.string (name ^ ": outcomes") outcomes' outcomes)
+    (every_counter ())
+
+(* (name, load-vector checksum, completions digest): n = 64, Poisson 0.05
+   per source, 500 ops, exponential delays, seed 42 — the ten counters
+   that ran open loop before the host existed. *)
+let open_goldens =
+  [
+    ("retire-tree", 2180187671982087147, "ddab8526c6f7d3e37ba7af8a1489b0c2");
+    ("central", 83424333527936051, "3238bb5e72a5a5cfa9edff11ce8e7c50");
+    ("combining", 2048890336185917075, "a1c3266649b68ace330a2679959311e3");
+    ("counting-net", 864925152350221515, "cd1c3c86df66e1c797dd85c96e7410d9");
+    ("diffracting", 4261029624034322795, "6baa513bbcc2d2c41de33627d62a4edc");
+    ("quorum-majority", 1829309918592815303, "e92bca3f6d617320518036f53a2371fb");
+    ("quorum-grid", 1993542348161843967, "51dbcf829ed99294cc8f7f91c1bac32d");
+    ("quorum-tree", 288492299186908825, "2351ce3dab6b47970ed88d052dea0847");
+    ("quorum-crumbling-wall", 2804205769892363795, "5dbd121b1a6364ef7f38f11e6f63b601");
+    ("quorum-projective-plane", 1231301683029396570, "2598f46cca44c5c3697ee4cbddb28baf");
+  ]
+
+let run_open name =
+  match Baselines.Registry.find_concurrent name with
+  | None -> Alcotest.failf "%s: not open-loop capable" name
+  | Some (module C : Counter.Counter_intf.CONCURRENT) ->
+      let n = C.supported_n 64 in
+      let c = C.create ~seed:42 ~delay:(Sim.Delay.Exponential 1.0) ~n () in
+      let plan =
+        Sim.Arrivals.merge (Sim.Arrivals.Poisson 0.05) ~seed:43 ~n ~ops:500
+      in
+      Array.iteri
+        (fun op (at, origin) -> C.launch_at c ~op ~origin ~at)
+        plan;
+      C.run_open c;
+      let rendered =
+        List.map
+          (fun (op, value, at) -> Printf.sprintf "%d,%d,%h" op value at)
+          (C.completions c)
+      in
+      ( Sim.Metrics.checksum (C.metrics c),
+        Digest.to_hex (Digest.string (String.concat ";" rendered)) )
+
+let open_names =
+  [
+    "retire-tree";
+    "central";
+    "combining";
+    "counting-net";
+    "diffracting";
+    "quorum-majority";
+    "quorum-grid";
+    "quorum-tree";
+    "quorum-crumbling-wall";
+    "quorum-projective-plane";
+  ]
+
+let test_open_goldens () =
+  List.iter
+    (fun name ->
+      let checksum, completions = run_open name in
+      match List.find_opt (fun (n, _, _) -> n = name) open_goldens with
+      | None -> Alcotest.failf "%s: no golden" name
+      | Some (_, checksum', completions') ->
+          check Alcotest.int (name ^ ": checksum") checksum' checksum;
+          check Alcotest.string (name ^ ": completions") completions'
+            completions)
+    open_names
+
+(* (name, load-vector checksum, outcome digest) under one crash/recover
+   plan, closed loop as in [closed_goldens]. *)
+let faulted_plan = "crash:3@4/recover:3@40"
+
+let faulted_goldens =
+  [
+    ("retire-ft", 33296852510968245, "624a24903876bc820a5451fb8484417a");
+    ("quorum-majority", 2438481103493677731, "63d309cd95c8df7ba9008378d9a0e53e");
+    ("durable", 494647162259506804, "63d309cd95c8df7ba9008378d9a0e53e");
+  ]
+
+let test_faulted_goldens () =
+  let faults =
+    match Sim.Fault.of_string faulted_plan with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "bad plan: %s" e
+  in
+  List.iter
+    (fun name ->
+      let c =
+        match Baselines.Registry.find name with
+        | Some c -> c
+        | None -> Alcotest.failf "no counter %s" name
+      in
+      let checksum, _, outcomes = run_closed ~faults c ~n:64 in
+      match List.find_opt (fun (n, _, _) -> n = name) faulted_goldens with
+      | None -> Alcotest.failf "%s: no golden" name
+      | Some (_, checksum', outcomes') ->
+          check Alcotest.int (name ^ ": checksum") checksum' checksum;
+          check Alcotest.string (name ^ ": outcomes") outcomes' outcomes)
+    [ "retire-ft"; "quorum-majority"; "durable" ]
+
 let () =
   Alcotest.run "determinism"
     [
@@ -286,5 +454,12 @@ let () =
         [
           Alcotest.test_case "durable golden" `Quick test_durable_golden;
           Alcotest.test_case "sync-count golden" `Quick test_sync_golden;
+        ] );
+      ( "every counter",
+        [
+          Alcotest.test_case "closed load vectors" `Quick test_closed_goldens;
+          Alcotest.test_case "open load vectors" `Quick test_open_goldens;
+          Alcotest.test_case "faulted load vectors" `Quick
+            test_faulted_goldens;
         ] );
     ]
