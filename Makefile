@@ -98,14 +98,17 @@ test-durable:
 	dune exec bin/dcount.exe -- mc --replay test/data/durable_no_cas_n2.mcs
 
 # Open-loop load gate (docs/LOAD.md): the generator/checker unit+property
-# suite, then dcount load --check end to end — the paper's counter and
-# the combining tree must stay linearizable at the moderate-overlap rate
-# where the counting network provably is not (exit 1 there is the
-# negative control).
+# suite, then dcount load --check end to end — the paper's counter, the
+# combining tree and the serialising crash-tolerant counters (retire-ft,
+# durable) must stay linearizable at the moderate-overlap rate where the
+# counting network provably is not (exit 1 there is the negative
+# control).
 test-load:
 	dune exec test/test_load.exe
 	dune exec bin/dcount.exe -- load -c retire-tree -n 64 --rate 0.05 --ops 1000 --seed 42 --check
 	dune exec bin/dcount.exe -- load -c combining -n 64 --rate 0.05 --ops 1000 --seed 42 --check
+	dune exec bin/dcount.exe -- load -c retire-ft -n 64 --rate 0.05 --ops 1000 --seed 42 --check
+	dune exec bin/dcount.exe -- load -c durable -n 64 --rate 0.05 --ops 1000 --seed 42 --check
 	! dune exec bin/dcount.exe -- load -c counting-net -n 64 --rate 0.05 --ops 1000 --seed 42 --check
 
 bench:

@@ -308,10 +308,8 @@ let load_cmd =
       match Baselines.Registry.find_concurrent name with
       | Some c -> c
       | None ->
-          Format.eprintf
-            "dcount load: %S is not an open-loop-capable counter (try: %s)@."
-            name
-            (String.concat ", " (Baselines.Registry.concurrent_names ()));
+          Format.eprintf "dcount load: unknown counter %S (try: %s)@." name
+            (String.concat ", " (Baselines.Registry.names ()));
           exit 2
     in
     guard_byz_plan "load" name faults;
@@ -366,8 +364,8 @@ let load_cmd =
       value & opt string "retire-tree"
       & info [ "c"; "counter" ] ~docv:"NAME"
           ~doc:
-            "Counter implementation; must support open-loop concurrency \
-             (see the list in the error message for an unknown name).")
+            "Counter implementation (see the list in the error message for \
+             an unknown name).")
   in
   let rate_arg =
     Arg.(

@@ -1,52 +1,32 @@
-type t = {
-  net : unit Sim.Network.t;
-  n : int;
-  locals : int array;
-  mutable traces_rev : Sim.Trace.t list;
-  mutable ops : int;
-}
+module Protocol = struct
+  type payload = unit
+  type t = { net : unit Sim.Network.t; locals : int array; mutable ops : int }
 
-let name = "amnesiac"
+  let name = "amnesiac"
+  let describe = "broken: purely local counting, no communication"
+  let supported_n n = max 1 n
+  let who = "Amnesiac"
+  let serialising = true
 
-let describe = "broken: purely local counting, no communication"
+  let create ?(seed = 42) ?delay ?faults ~n () =
+    {
+      net = Sim.Network.create ~seed ?delay ?faults ~n ();
+      locals = Array.make (n + 1) 0;
+      ops = 0;
+    }
 
-let supported_n n = max 1 n
+  let net t = t.net
+  let value t = t.ops
+  let handle _ ~reply:_ ~self:_ ~src:_ () = ()
 
-let create ?(seed = 42) ?delay ?faults ~n () =
-  {
-    net = Sim.Network.create ~seed ?delay ?faults ~n ();
-    n;
-    locals = Array.make (n + 1) 0;
-    traces_rev = [];
-    ops = 0;
-  }
+  let start t ~reply ~op ~origin =
+    let v = t.locals.(origin) in
+    t.locals.(origin) <- v + 1;
+    t.ops <- t.ops + 1;
+    reply ~op v
 
-let n t = t.n
+  let verdict _ ~origin:_ = Option.get
+  let copy t net = { t with net; locals = Array.copy t.locals }
+end
 
-let value t = t.ops
-
-let metrics t = Sim.Network.metrics t.net
-
-let traces t = List.rev t.traces_rev
-
-let inc t ~origin =
-  Sim.Network.begin_op t.net ~origin;
-  let v = t.locals.(origin) in
-  t.locals.(origin) <- v + 1;
-  t.ops <- t.ops + 1;
-  t.traces_rev <- Sim.Network.end_op t.net :: t.traces_rev;
-  v
-
-let inc_result t ~origin =
-  Counter.Counter_intf.result_of_inc (fun () -> inc t ~origin)
-
-let crashed t p = Sim.Network.crashed t.net p
-
-let clone t =
-  {
-    net = Sim.Network.clone_quiescent t.net;
-    n = t.n;
-    locals = Array.copy t.locals;
-    traces_rev = t.traces_rev;
-    ops = t.ops;
-  }
+include Counter.Host.Make (Protocol)

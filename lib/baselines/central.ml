@@ -1,120 +1,55 @@
-(* [op] threads an operation id through the request/reply pair so the
-   open-loop path can match completions when an origin has several
-   operations in flight; the sequential path uses op = -1 and is
-   unchanged message for message. *)
-type payload =
-  | Request of { origin : int; op : int }
-  | Reply of { value : int; op : int }
-
-let label = function Request _ -> "req" | Reply _ -> "val"
-
-type t = {
-  net : payload Sim.Network.t;
-  n : int;
-  mutable value : int;
-  mutable last_returned : int;
-  mutable open_rev : (int * int * float) list;  (* op, value, completed_at *)
-  mutable traces_rev : Sim.Trace.t list;
-}
-
-let name = "central"
-
-let describe = "single holder processor; message-optimal, maximal bottleneck"
-
 let holder = 1
 
-let supported_n n = max 1 n
+module Protocol = struct
+  (* [op] threads an operation id through the request/reply pair so the
+     open-loop path can match completions when an origin has several
+     operations in flight. *)
+  type payload =
+    | Request of { origin : int; op : int }
+    | Reply of { value : int; op : int }
 
-let handle st ~self ~src:_ = function
-  | Request { origin; op } ->
-      assert (self = holder);
-      Sim.Network.send st.net ~src:holder ~dst:origin
-        (Reply { value = st.value; op });
-      st.value <- st.value + 1
-  | Reply { value; op } ->
-      if op >= 0 then
-        st.open_rev <- (op, value, Sim.Network.now st.net) :: st.open_rev
-      else st.last_returned <- value
+  let label = function Request _ -> "req" | Reply _ -> "val"
 
-let create ?(seed = 42) ?delay ?faults ~n () =
-  if n < 1 then invalid_arg "Central.create: n must be >= 1";
-  let net = Sim.Network.create ~seed ?delay ?faults ~label ~n () in
-  let st =
-    { net; n; value = 0; last_returned = -1; open_rev = []; traces_rev = [] }
-  in
-  Sim.Network.set_handler net (fun ~self ~src payload ->
-      handle st ~self ~src payload);
-  st
+  type t = { net : payload Sim.Network.t; mutable value : int }
 
-let n t = t.n
+  let name = "central"
+  let describe = "single holder processor; message-optimal, maximal bottleneck"
+  let supported_n n = max 1 n
+  let who = "Central"
+  let serialising = false
 
-let value t = t.value
+  let create ?(seed = 42) ?delay ?faults ~n () =
+    if n < 1 then invalid_arg "Central.create: n must be >= 1";
+    { net = Sim.Network.create ~seed ?delay ?faults ~label ~n (); value = 0 }
 
-let metrics t = Sim.Network.metrics t.net
+  let net st = st.net
+  let value st = st.value
 
-let traces t = List.rev t.traces_rev
+  let handle st ~reply ~self ~src:_ = function
+    | Request { origin; op } ->
+        assert (self = holder);
+        Sim.Network.send st.net ~src:holder ~dst:origin
+          (Reply { value = st.value; op });
+        st.value <- st.value + 1
+    | Reply { value; op } -> reply ~op value
 
-let inc t ~origin =
-  if origin < 1 || origin > t.n then
-    invalid_arg "Central.inc: origin out of range";
-  Sim.Network.begin_op t.net ~origin;
-  let result =
+  let start st ~reply ~op ~origin =
     if origin = holder then begin
       (* The holder increments locally: no messages at all. *)
-      let v = t.value in
-      t.value <- v + 1;
-      v
+      let v = st.value in
+      st.value <- v + 1;
+      reply ~op v
     end
-    else begin
-      t.last_returned <- -1;
-      Sim.Network.send t.net ~src:origin ~dst:holder (Request { origin; op = -1 });
-      ignore (Sim.Network.run_to_quiescence t.net);
-      t.last_returned
-    end
-  in
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
-  if result < 0 then
-    raise
-      (Counter.Counter_intf.Stall
-         "Central.inc: no reply (holder crashed or message lost)");
-  result
+    else Sim.Network.send st.net ~src:origin ~dst:holder (Request { origin; op })
 
-let inc_result t ~origin =
-  Counter.Counter_intf.result_of_inc (fun () -> inc t ~origin)
+  let verdict _ ~origin:_ = function
+    | Some v -> v
+    | None ->
+        raise
+          (Counter.Counter_intf.Stall
+             "Central.inc: no reply (holder crashed or message lost)")
 
-let crashed t p = Sim.Network.crashed t.net p
+  let copy st net = { st with net }
+end
 
-let launch_at t ~op ~origin ~at =
-  if origin < 1 || origin > t.n then
-    invalid_arg "Central.launch_at: origin out of range";
-  let delay = at -. Sim.Network.now t.net in
-  if delay < 0. then invalid_arg "Central.launch_at: arrival in the past";
-  Sim.Network.schedule_local t.net ~delay (fun () ->
-      if origin = holder then begin
-        (* Local increment, completing at the arrival instant. *)
-        let v = t.value in
-        t.value <- v + 1;
-        t.open_rev <- (op, v, Sim.Network.now t.net) :: t.open_rev
-      end
-      else Sim.Network.send t.net ~src:origin ~dst:holder (Request { origin; op }))
-
-let run_open t = ignore (Sim.Network.run_to_quiescence t.net)
-
-let completions t = List.rev t.open_rev
-
-let clone t =
-  let net = Sim.Network.clone_quiescent t.net in
-  let st =
-    {
-      net;
-      n = t.n;
-      value = t.value;
-      last_returned = t.last_returned;
-      open_rev = t.open_rev;
-      traces_rev = t.traces_rev;
-    }
-  in
-  Sim.Network.set_handler net (fun ~self ~src payload ->
-      handle st ~self ~src payload);
-  st
+include Counter.Host.Make (Protocol)

@@ -14,12 +14,30 @@
     so the counting network interpolates between the central counter
     ([width = 1]-ish) and lower-bottleneck structures, but for any fixed
     width it still scales linearly in [n]: a nice foil for the paper's
-    O(k). The step property is revalidated on the message-passing
-    execution after every quiescent operation ({!step_property_held}).
+    O(k). The step property can be checked on the message-passing
+    execution at any quiescent point ({!step_property_held}).
 
     Sequential operations are linearizable, so the generic driver checks
     apply; concurrency-specific behaviour of counting networks (they are
     not linearizable under overlap) is exercised by experiment E7. *)
+
+module Protocol : sig
+  include Counter.Host.CORE
+
+  val create_custom :
+    ?seed:int ->
+    ?delay:Sim.Delay.t ->
+    ?faults:Sim.Fault.t ->
+    n:int ->
+    network:Bitonic.network ->
+    unit ->
+    t
+
+  val default_width : int -> int
+  (** The largest power of two [<= sqrt n] (at least 2 for [n > 1]). *)
+end
+(** The protocol core, for counters that host it over another balancer
+    network ({!Periodic_counter}). *)
 
 type t
 
@@ -54,7 +72,8 @@ val output_counts : t -> int array
 (** Tokens that have exited on each wire. *)
 
 val step_property_held : t -> bool
-(** Whether the step property held at every quiescent point so far. *)
+(** Whether the output counts have the step property; meaningful at
+    quiescence, when no token is in flight. *)
 
 val run_batch : t -> origins:int list -> (int * int) list
 (** Launch all origins' tokens concurrently — the regime counting
@@ -63,12 +82,14 @@ val run_batch : t -> origins:int list -> (int * int) list
     contiguous value block (quiescent consistency; counting networks are
     famously not linearizable under overlap, which E7 shows by exhibiting
     out-of-order values within a batch). Counts as one traced
-    operation. *)
+    operation. Raises [Invalid_argument] on an empty batch, an origin out
+    of range or an origin listed twice. *)
 
 val run_batch_timed :
   t -> ?stagger:float -> origins:int list -> unit -> Counter.History.op list
 (** {!run_batch} with operation [i] injected at virtual time
-    [i * stagger] and full invocation/completion intervals — the E20
+    [i * stagger] and full invocation/completion intervals (the batch rule
+    of {!Counter.Host.Make.run_batch}) — the E20
     linearizability experiment, where moderate stagger makes the
     network's famous non-linearizability observable. *)
 

@@ -17,34 +17,18 @@
    compare-and-swap against a superseded manifest and bounces off
    (test_mc pins the pairing). *)
 
-module D = Core.Durable_counter
+module D = Core.Durable_counter.Protocol
 
-type t = D.t
+include Counter.Host.Make (struct
+  include D
 
-let name = "durable-no-cas"
+  let name = "durable-no-cas"
 
-let describe =
-  "broken: durable counter whose store writes skip compare-and-swap, so \
-   a reordered stale write silently overwrites newer store state"
+  let describe =
+    "broken: durable counter whose store writes skip compare-and-swap, so \
+     a reordered stale write silently overwrites newer store state"
 
-let supported_n = D.supported_n
-
-let create ?seed ?delay ?faults ~n () =
-  D.create_raw ?seed ?delay ?faults ~cas:false ~chunk_records:1
-    ~snap_every:1 ~n ()
-
-let n = D.n
-
-let value = D.value
-
-let metrics = D.metrics
-
-let traces = D.traces
-
-let inc = D.inc
-
-let inc_result = D.inc_result
-
-let crashed = D.crashed
-
-let clone = D.clone
+  let create ?seed ?delay ?faults ~n () =
+    D.create_raw ?seed ?delay ?faults ~cas:false ~chunk_records:1
+      ~snap_every:1 ~n ()
+end)

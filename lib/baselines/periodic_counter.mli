@@ -1,8 +1,13 @@
 (** The periodic counting network ({!Periodic}) as a distributed counter —
-    a second counting-network baseline for the registry, sharing
-    {!Counting_network}'s message-passing wrapper. *)
+    a second counting-network baseline for the registry, hosting
+    {!Counting_network}'s protocol core over the periodic balancer
+    network. *)
 
-include Counter.Counter_intf.S
+include Counter.Counter_intf.CONCURRENT
 
-val create :
-  ?seed:int -> ?delay:Sim.Delay.t -> ?faults:Sim.Fault.t -> n:int -> unit -> t
+val run_batch : t -> origins:int list -> (int * int) list
+(** As {!Counting_network.run_batch}. *)
+
+val run_batch_timed :
+  t -> ?stagger:float -> origins:int list -> unit -> Counter.History.op list
+(** As {!Counting_network.run_batch_timed}. *)

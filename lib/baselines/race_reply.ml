@@ -1,113 +1,80 @@
-type payload =
-  | Request of { origin : int }
-  | Reply of { value : int }
-  | Echo of { origin : int; value : int }
+module Protocol = struct
+  type payload =
+    | Request of { origin : int }
+    | Reply of { value : int }
+    | Echo of { origin : int; value : int }
 
-let label = function
-  | Request _ -> "req"
-  | Reply _ -> "val"
-  | Echo _ -> "echo"
+  let label = function
+    | Request _ -> "req"
+    | Reply _ -> "val"
+    | Echo _ -> "echo"
 
-type t = {
-  net : payload Sim.Network.t;
-  n : int;
-  mutable value : int;
-  mutable last_returned : int;
-  mutable traces_rev : Sim.Trace.t list;
-}
+  type t = { net : payload Sim.Network.t; mutable value : int }
 
-let name = "race-reply"
+  let name = "race-reply"
 
-let describe =
-  "broken: holder races a stale relayed reply against the direct one"
+  let describe =
+    "broken: holder races a stale relayed reply against the direct one"
 
-let holder = 1
+  let who = "Race_reply"
 
-let relay = 2
+  let serialising = true
 
-let supported_n n = max 3 n
+  let holder = 1
 
-(* The bug: besides the correct direct reply, the holder "helpfully"
-   pushes the value to the origin a second time through a relay — but it
-   builds that message after the increment, so the relayed copy carries
-   [v + 1]. The origin keeps whichever reply arrives first. Under the
-   default delivery order the direct reply (one hop) always beats the
-   relayed one (two hops) and the counter looks correct on every
-   schedule; only an adversarial scheduler that delays the direct reply
-   behind both relay hops exposes the stale value. When the origin IS the
-   relay both messages share the (holder, relay) link, whose FIFO order
-   protects the direct reply — that origin is immune. *)
-let handle st ~self ~src:_ = function
-  | Request { origin } ->
-      assert (self = holder);
-      let v = st.value in
-      st.value <- v + 1;
-      Sim.Network.send st.net ~src:holder ~dst:origin (Reply { value = v });
-      if origin <> relay then
-        Sim.Network.send st.net ~src:holder ~dst:relay
-          (Echo { origin; value = st.value })
-  | Echo { origin; value } ->
-      assert (self = relay);
-      Sim.Network.send st.net ~src:relay ~dst:origin (Reply { value })
-  | Reply { value } -> if st.last_returned < 0 then st.last_returned <- value
+  let relay = 2
 
-let create ?(seed = 42) ?delay ?faults ~n () =
-  if n < 3 then invalid_arg "Race_reply.create: n must be >= 3";
-  let net = Sim.Network.create ~seed ?delay ?faults ~label ~n () in
-  let st = { net; n; value = 0; last_returned = -1; traces_rev = [] } in
-  Sim.Network.set_handler net (fun ~self ~src payload ->
-      handle st ~self ~src payload);
-  st
+  let supported_n n = max 3 n
 
-let n t = t.n
+  (* The bug: besides the correct direct reply, the holder "helpfully"
+     pushes the value to the origin a second time through a relay — but it
+     builds that message after the increment, so the relayed copy carries
+     [v + 1]. The origin keeps whichever reply arrives first. Under the
+     default delivery order the direct reply (one hop) always beats the
+     relayed one (two hops) and the counter looks correct on every
+     schedule; only an adversarial scheduler that delays the direct reply
+     behind both relay hops exposes the stale value. When the origin IS the
+     relay both messages share the (holder, relay) link, whose FIFO order
+     protects the direct reply — that origin is immune. *)
+  let handle st ~reply ~self ~src:_ = function
+    | Request { origin } ->
+        assert (self = holder);
+        let v = st.value in
+        st.value <- v + 1;
+        Sim.Network.send st.net ~src:holder ~dst:origin (Reply { value = v });
+        if origin <> relay then
+          Sim.Network.send st.net ~src:holder ~dst:relay
+            (Echo { origin; value = st.value })
+    | Echo { origin; value } ->
+        assert (self = relay);
+        Sim.Network.send st.net ~src:relay ~dst:origin (Reply { value })
+    | Reply { value } -> reply ~op:(-1) value
 
-let value t = t.value
+  let create ?(seed = 42) ?delay ?faults ~n () =
+    if n < 3 then invalid_arg "Race_reply.create: n must be >= 3";
+    { net = Sim.Network.create ~seed ?delay ?faults ~label ~n (); value = 0 }
 
-let metrics t = Sim.Network.metrics t.net
+  let net t = t.net
 
-let traces t = List.rev t.traces_rev
+  let value t = t.value
 
-let inc t ~origin =
-  if origin < 1 || origin > t.n then
-    invalid_arg "Race_reply.inc: origin out of range";
-  Sim.Network.begin_op t.net ~origin;
-  let result =
+  let start t ~reply ~op ~origin =
     if origin = holder then begin
       let v = t.value in
       t.value <- v + 1;
-      v
+      reply ~op v
     end
-    else begin
-      t.last_returned <- -1;
-      Sim.Network.send t.net ~src:origin ~dst:holder (Request { origin });
-      ignore (Sim.Network.run_to_quiescence t.net);
-      t.last_returned
-    end
-  in
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
-  if result < 0 then
-    raise
-      (Counter.Counter_intf.Stall
-         "Race_reply.inc: no reply (holder crashed or message lost)");
-  result
+    else Sim.Network.send t.net ~src:origin ~dst:holder (Request { origin })
 
-let inc_result t ~origin =
-  Counter.Counter_intf.result_of_inc (fun () -> inc t ~origin)
+  (* The origin keeps whichever reply arrives first. *)
+  let verdict _ ~origin:_ = function
+    | Some v -> v
+    | None ->
+        raise
+          (Counter.Counter_intf.Stall
+             "Race_reply.inc: no reply (holder crashed or message lost)")
 
-let crashed t p = Sim.Network.crashed t.net p
+  let copy t net = { t with net }
+end
 
-let clone t =
-  let net = Sim.Network.clone_quiescent t.net in
-  let st =
-    {
-      net;
-      n = t.n;
-      value = t.value;
-      last_returned = t.last_returned;
-      traces_rev = t.traces_rev;
-    }
-  in
-  Sim.Network.set_handler net (fun ~self ~src payload ->
-      handle st ~self ~src payload);
-  st
+include Counter.Host.Make (Protocol)

@@ -1,14 +1,15 @@
 (** Central catalogue of every distributed-counter implementation in the
     repository, for the CLI, experiments and tests. Each counter module is
-    listed once; {!concurrent_all} is derived from {!all}. *)
+    listed once. Every counter is hosted by {!Counter.Host}, so every one
+    also implements the open-loop {!Counter.Counter_intf.CONCURRENT}
+    interface. *)
 
 val all : Counter.Counter_intf.counter list
 (** Every {e correct} counter, the paper's first. *)
 
 val concurrent_all : Counter.Counter_intf.concurrent list
-(** The members of {!all} implementing the open-loop
-    {!Counter.Counter_intf.CONCURRENT} interface, in {!all}'s order — the
-    counters [dcount load] can drive. *)
+(** {!all} in the open-loop {!Counter.Counter_intf.CONCURRENT} view, in
+    the same order. *)
 
 val retire_tree : Counter.Counter_intf.counter
 (** The paper's counter ({!Core.Retire_counter}). *)
@@ -50,13 +51,11 @@ val broken : Counter.Counter_intf.counter list
     resolves them by name. *)
 
 val find : string -> Counter.Counter_intf.counter option
-(** Look up by [name], searching {!all} and {!broken}. *)
+(** Look up by [name], searching {!all}, {!sync_count} and {!broken}. *)
 
 val names : unit -> string list
 (** Names of {!all} (the broken counters are not listed). *)
 
 val find_concurrent : string -> Counter.Counter_intf.concurrent option
-(** Look up a concurrency-capable counter by [name]. *)
-
-val concurrent_names : unit -> string list
-(** Names of {!concurrent_all}. *)
+(** {!find} in the open-loop view: resolves every name {!find}
+    resolves. *)

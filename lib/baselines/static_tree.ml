@@ -1,38 +1,22 @@
-type t = Core.Retire_counter.t
+module R = Core.Retire_counter.Protocol
 
-let name = "static-tree"
+include Counter.Host.Make (struct
+  include R
 
-let describe =
-  "the paper's tree without retirement: Theta(n) load at the root worker"
+  let name = "static-tree"
 
-let supported_n = Core.Retire_counter.supported_n
+  let describe =
+    "the paper's tree without retirement: Theta(n) load at the root worker"
 
-let create ?seed ?delay ?faults ~n () =
-  match Core.Params.k_of_n_exact n with
-  | Some k ->
-      let cfg =
-        { (Core.Retire_counter.paper_config ~k) with retire_threshold = max_int }
-      in
-      Core.Retire_counter.create_with ?seed ?delay ?faults cfg
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Static_tree.create: n = %d is not of the form k^(k+1); use \
-            supported_n"
-           n)
-
-let n = Core.Retire_counter.n
-
-let inc = Core.Retire_counter.inc
-
-let inc_result = Core.Retire_counter.inc_result
-
-let crashed = Core.Retire_counter.crashed
-
-let value = Core.Retire_counter.value
-
-let metrics = Core.Retire_counter.metrics
-
-let traces = Core.Retire_counter.traces
-
-let clone = Core.Retire_counter.clone
+  let create ?seed ?delay ?faults ~n () =
+    match Core.Params.k_of_n_exact n with
+    | Some k ->
+        R.create_with ?seed ?delay ?faults
+          { (Core.Retire_counter.paper_config ~k) with retire_threshold = max_int }
+    | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Static_tree.create: n = %d is not of the form k^(k+1); use \
+              supported_n"
+             n)
+end)

@@ -13,4 +13,11 @@
     threshold, so any behavioural difference between the two counters is
     attributable to retirement alone. *)
 
-include Counter.Counter_intf.S
+include Counter.Counter_intf.CONCURRENT
+
+val run_batch : t -> origins:int list -> (int * int) list
+(** As {!Core.Retire_counter.run_batch}. *)
+
+val run_batch_timed :
+  t -> ?stagger:float -> origins:int list -> unit -> Counter.History.op list
+(** As {!Core.Retire_counter.run_batch_timed}. *)

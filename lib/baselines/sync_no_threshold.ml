@@ -7,33 +7,17 @@
    the model checker's corruption adversary must find (stored
    counterexample in test/data). *)
 
-module Sc = Core.Sync_counter
+module Sc = Core.Sync_counter.Protocol
 
-type t = Sc.t
+include Counter.Host.Make (struct
+  include Sc
 
-let name = "sync-no-threshold"
+  let name = "sync-no-threshold"
 
-let describe =
-  "broken: phase-king counting whose replicas adopt the king's value \
-   unconditionally, so an equivocating king splits them"
+  let describe =
+    "broken: phase-king counting whose replicas adopt the king's value \
+     unconditionally, so an equivocating king splits them"
 
-let supported_n = Sc.supported_n
-
-let create ?seed ?delay ?faults ~n () =
-  Sc.create_with ?seed ?delay ?faults ~guard:false ~n ()
-
-let n = Sc.n
-
-let value = Sc.value
-
-let metrics = Sc.metrics
-
-let traces = Sc.traces
-
-let inc = Sc.inc
-
-let inc_result = Sc.inc_result
-
-let crashed = Sc.crashed
-
-let clone = Sc.clone
+  let create ?seed ?delay ?faults ~n () =
+    Sc.create_with ?seed ?delay ?faults ~guard:false ~n ()
+end)

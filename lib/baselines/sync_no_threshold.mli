@@ -7,4 +7,4 @@
     Byzantine disagreement (the stored counterexample in [test/data]
     replays it byte-identically). *)
 
-include Counter.Counter_intf.S
+include Counter.Counter_intf.CONCURRENT

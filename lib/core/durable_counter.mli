@@ -26,7 +26,27 @@
     ["spec: ..."]-prefixed {!Counter.Counter_intf.Stall}, which the
     model checker maps to its durability properties. *)
 
-include Counter.Counter_intf.S
+module Protocol : sig
+  include Counter.Host.CORE
+
+  val create_raw :
+    ?seed:int ->
+    ?delay:Sim.Delay.t ->
+    ?faults:Sim.Fault.t ->
+    ?cas:bool ->
+    ?chunk_records:int ->
+    ?snap_every:int ->
+    n:int ->
+    unit ->
+    t
+end
+(** The protocol core, for counters that host it in another configuration
+    ({!Baselines.Durable_no_cas}). *)
+
+include Counter.Counter_intf.CONCURRENT
+(** Open-loop operations run one after another (see
+    {!Counter.Host.CORE.serialising}): the writer's pipeline serves one
+    increment at a time, so a backlog shows up as latency. *)
 
 val create_raw :
   ?seed:int ->

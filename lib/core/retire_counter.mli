@@ -57,6 +57,15 @@ val paper_config : k:int -> config
 val config_n : config -> int
 (** Number of processors the configuration serves: [arity^(depth+1)]. *)
 
+module Protocol : sig
+  include Counter.Host.CORE
+
+  val create_with :
+    ?seed:int -> ?delay:Sim.Delay.t -> ?faults:Sim.Fault.t -> config -> t
+end
+(** The protocol core, for counters that host it in another configuration
+    ({!Baselines.Static_tree}). *)
+
 type t
 
 val create_with :
@@ -108,7 +117,9 @@ val believed_consistent : t -> bool
 val run_batch : t -> origins:int list -> (int * int) list
 (** Extension beyond the paper's sequential model: launch all origins'
     increments concurrently and run to quiescence; returns
-    [(origin, value)] pairs in completion order. The root serialises
+    [(origin, value)] pairs in completion order. Raises
+    [Invalid_argument] on an empty batch, an origin out of range or an
+    origin listed twice. The root serialises
     arrivals, so values across a batch are distinct and contiguous (but
     an individual origin may observe them out of request order — the
     batch is quiescently consistent, not linearizable). One traced

@@ -34,6 +34,21 @@ val paper_config : k:int -> config
 
 val config_n : config -> int
 
+module Protocol : sig
+  include Counter.Host.CORE
+
+  val create_with :
+    ?seed:int ->
+    ?delay:Sim.Delay.t ->
+    ?faults:Sim.Fault.t ->
+    ?emergency_handoff:bool ->
+    ?overflow_pool:int ->
+    config ->
+    t
+end
+(** The protocol core, for counters that host it in another configuration
+    ({!Baselines.Ft_no_handoff}). *)
+
 type t
 
 val create_with :
@@ -102,7 +117,7 @@ val last_attempts : t -> int
 
 (** {1 The counter interface} *)
 
-include Counter.Counter_intf.S with type t := t
+include Counter.Counter_intf.CONCURRENT with type t := t
 (** [create ~n] requires [n = k^(k+1)] for some [k] (use [supported_n] to
     round up); it uses {!paper_config}. [inc] raises
     {!Counter.Counter_intf.Stall} — with the stalling reason — when the

@@ -1,8 +1,9 @@
 (* Shared machinery of the retirement-tree counters: configuration, the
    message vocabulary, per-node state, the age/retire/handoff engine and
-   the sequential-operation driver. Retire_counter is the paper's exact
-   protocol over this state; Retire_ft layers the failure-aware client
-   (timeout + audit + emergency retirement) on top of the same record.
+   the observers both counters expose. Retire_counter is the paper's
+   exact protocol over this state; Retire_ft layers the failure-aware
+   client (timeout + audit + emergency retirement) on top of the same
+   record. Counter.Host runs the operations of both.
 
    The failure-aware fields are inert whenever [failure_aware] is false:
    every branch that consults them is guarded, so a plumbing-backed
@@ -114,15 +115,9 @@ type t = {
          losing the root's counter value *)
   overflow_pool : int;  (* emergency hire budget (overflow ids only) *)
   mutable value : int;
-  mutable completed_rev : (int * int * float) list;
-      (* (origin, value, completion time) for the current op/batch *)
   mutable overflow_next : int;  (* next virtual processor id to hire *)
-  mutable traces_rev : Sim.Trace.t list;
   mutable total_retirements : int;
   mutable stale_forwards : int;
-  mutable open_completed_rev : (int * int * float) list;
-      (* (op, value, completion time) of open-loop operations served by
-         the serialising client in Retire_counter.launch_at *)
   (* --- failure-aware operation state (Retire_ft) --- *)
   mutable round : int;  (* monotone stamp guarding every armed timer *)
   mutable attempts : int;
@@ -209,12 +204,9 @@ let create_state ?(seed = 42) ?delay ?faults ?(failure_aware = false)
     emergency_handoff;
     overflow_pool = (match overflow_pool with Some p -> p | None -> 2 * n);
     value = 0;
-    completed_rev = [];
     overflow_next = n + 1;
-    traces_rev = [];
     total_retirements = 0;
     stale_forwards = 0;
-    open_completed_rev = [];
     round = 0;
     attempts = 0;
     cur_timeout = 0.;
@@ -276,11 +268,12 @@ let send_announcements st nd ~src ~successor =
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
 
-let rec handle st ~self ~src payload =
+(* [Value] carries no op id: it reaches the op's origin leaf, and an
+   origin has at most one op in flight (closed loop, or a batch of
+   distinct origins named by their origins). *)
+let rec handle st ~reply ~self ~src payload =
   match payload with
-  | Value { value } ->
-      st.completed_rev <-
-        (self, value, Sim.Network.now st.net) :: st.completed_rev
+  | Value { value } -> reply ~op:self value
   | Handoff _ ->
       (* The job description for a fresh worker. State is already current
          (the node record was updated when the retirement was issued); the
@@ -407,19 +400,44 @@ and retire st nd =
   send_announcements st nd ~src:old_worker ~successor
 
 (* ------------------------------------------------------------------ *)
-(* Sequential-operation driver                                         *)
+(* Operations (run by Counter.Host)                                    *)
 
-let n t = Tree.n t.tree
+let net t = t.net
 
-let check_origin ~who t origin =
-  if origin < 1 || origin > n t then
-    invalid_arg (who ^ ": origin out of range")
+let value t = t.value
 
 let launch t ~origin =
   let parent = Tree.leaf_parent t.tree ~leaf:origin in
   Sim.Network.send t.net ~src:origin
     ~dst:t.leaf_believed_parent.(origin - 1)
     (Inc { origin; node = parent })
+
+(* First completion: under duplication faults the value can arrive twice;
+   without faults there is exactly one. *)
+let verdict ~who = function
+  | Some v -> v
+  | None ->
+      raise
+        (Counter.Counter_intf.Stall
+           (who
+          ^ ".inc: no value returned (a worker on the path crashed or a \
+             message was lost)"))
+
+(* Copy of the quiescent state over a cloned network. *)
+let copy t net =
+  {
+    t with
+    net;
+    nodes =
+      Array.map
+        (fun nd ->
+          {
+            nd with
+            believed_child_workers = Array.copy nd.believed_child_workers;
+          })
+        t.nodes;
+    leaf_believed_parent = Array.copy t.leaf_believed_parent;
+  }
 
 let believed_consistent t =
   let ok = ref true in
@@ -453,100 +471,24 @@ let max_retirements_at_level t level =
     (fun best nd -> if nd.level = level then max best nd.retirements else best)
     0 t.nodes
 
-(* Accessors shared verbatim by both counters. *)
-let config t = t.cfg
-let tree t = t.tree
-let value t = t.value
-let metrics t = Sim.Network.metrics t.net
-let traces t = List.rev t.traces_rev
-let node_worker t flat = t.nodes.(flat).worker
-let node_age t flat = t.nodes.(flat).age
-let retirements_of_node t flat = t.nodes.(flat).retirements
-let total_retirements t = t.total_retirements
-let stale_forwards t = t.stale_forwards
-let max_message_bits t = Sim.Network.max_message_bits t.net
-let total_bits t = Sim.Network.total_bits t.net
-let crashed t p = Sim.Network.crashed t.net p
-let emergency_nodes t = List.rev t.emergency_nodes_rev
+(* The observers both counters expose, over their hosted type. *)
+module Observe (H : sig
+  type host
 
-let inc ~who t ~origin =
-  check_origin ~who t origin;
-  Sim.Network.begin_op t.net ~origin;
-  t.completed_rev <- [];
-  launch t ~origin;
-  ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
-  (* First completion for this origin: under duplication faults the value
-     can arrive twice; without faults there is exactly one. *)
-  match
-    List.find_opt (fun (o, _, _) -> o = origin) (List.rev t.completed_rev)
-  with
-  | Some (_, value, _) -> value
-  | None ->
-      raise
-        (Counter.Counter_intf.Stall
-           (who
-          ^ ".inc: no value returned (a worker on the path crashed or a \
-             message was lost)"))
-
-let run_batch ~who t ~origins =
-  List.iter (check_origin ~who t) origins;
-  (match origins with
-  | [] -> invalid_arg (who ^ ".run_batch: empty batch")
-  | o :: _ -> Sim.Network.begin_op t.net ~origin:o);
-  t.completed_rev <- [];
-  List.iter (fun origin -> launch t ~origin) origins;
-  ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
-  List.rev_map (fun (o, v, _) -> (o, v)) t.completed_rev
-
-let run_batch_timed ~who t ?(stagger = 0.) ~origins () =
-  List.iter (check_origin ~who t) origins;
-  (match origins with
-  | [] -> invalid_arg (who ^ ".run_batch_timed: empty batch")
-  | o :: _ -> Sim.Network.begin_op t.net ~origin:o);
-  t.completed_rev <- [];
-  let start = Sim.Network.now t.net in
-  let invoked = Hashtbl.create (List.length origins) in
-  List.iteri
-    (fun i origin ->
-      let at = start +. (float_of_int i *. stagger) in
-      Hashtbl.replace invoked origin at;
-      if Float.equal stagger 0. then launch t ~origin
-      else
-        Sim.Network.schedule_local t.net
-          ~delay:(float_of_int i *. stagger)
-          (fun () -> launch t ~origin))
-    origins;
-  ignore (Sim.Network.run_to_quiescence t.net);
-  let trace = Sim.Network.end_op t.net in
-  t.traces_rev <- trace :: t.traces_rev;
-  List.rev_map
-    (fun (origin, value, completed_at) ->
-      {
-        Counter.History.origin;
-        value;
-        invoked_at = Hashtbl.find invoked origin;
-        completed_at;
-      })
-    t.completed_rev
-
-(* Copy of the quiescent state, without a handler: each counter re-installs
-   its own over the fresh record. *)
-let clone_state t =
-  let net = Sim.Network.clone_quiescent t.net in
-  {
-    t with
-    net;
-    nodes =
-      Array.map
-        (fun nd ->
-          {
-            nd with
-            believed_child_workers = Array.copy nd.believed_child_workers;
-          })
-        t.nodes;
-    leaf_believed_parent = Array.copy t.leaf_believed_parent;
-  }
+  val core : host -> t
+end) =
+struct
+  let config t = (H.core t).cfg
+  let tree t = (H.core t).tree
+  let node_worker t flat = (H.core t).nodes.(flat).worker
+  let node_age t flat = (H.core t).nodes.(flat).age
+  let retirements_of_node t flat = (H.core t).nodes.(flat).retirements
+  let retirements_by_level t = retirements_by_level (H.core t)
+  let max_retirements_at_level t = max_retirements_at_level (H.core t)
+  let total_retirements t = (H.core t).total_retirements
+  let stale_forwards t = (H.core t).stale_forwards
+  let max_message_bits t = Sim.Network.max_message_bits (H.core t).net
+  let total_bits t = Sim.Network.total_bits (H.core t).net
+  let believed_consistent t = believed_consistent (H.core t)
+  let emergency_nodes t = List.rev (H.core t).emergency_nodes_rev
+end

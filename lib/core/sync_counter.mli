@@ -23,6 +23,21 @@
     undecided correct replica (a crashed participant starves the
     full-reception rounds) raises an ordinary non-spec stall. *)
 
+module Protocol : sig
+  include Counter.Host.CORE
+
+  val create_with :
+    ?seed:int ->
+    ?delay:Sim.Delay.t ->
+    ?faults:Sim.Fault.t ->
+    ?guard:bool ->
+    n:int ->
+    unit ->
+    t
+end
+(** The protocol core, for counters that host it in another configuration
+    ({!Baselines.Sync_no_threshold}). *)
+
 type t
 
 val create_with :
@@ -50,9 +65,12 @@ val correct : t -> int -> bool
 (** Whether a processor is currently neither crashed nor Byzantine —
     the population the agreement oracle quantifies over. *)
 
-include Counter.Counter_intf.S with type t := t
+include Counter.Counter_intf.CONCURRENT with type t := t
 (** [create ~n] requires [n >= 4] (so [f >= 1]; use [supported_n]).
     [inc] raises {!Counter.Counter_intf.Stall} on an agreement violation
     (["spec: agreement violated"], impossible with the guard at
     [b <= f] turned processors), on a starved round (a crashed
-    participant), or when no reply reaches the origin. *)
+    participant), or when no reply reaches the origin. Open-loop
+    operations run one after another (see
+    {!Counter.Host.CORE.serialising}): each runs its full agreement before
+    the next one starts. *)

@@ -358,7 +358,10 @@ let test_load_check_passes () =
   check_exit "retire-tree --check" 0
     "load -c retire-tree -n 64 --rate 0.05 --ops 400 --seed 42 --check";
   check_exit "combining --check" 0
-    "load -c combining -n 64 --rate 0.05 --ops 400 --seed 42 --check"
+    "load -c combining -n 64 --rate 0.05 --ops 400 --seed 42 --check";
+  (* Every counter runs open loop; a serialising one is linearizable by
+     construction. *)
+  check_exit "static-tree --check" 0 "load -c static-tree -n 8 --ops 50 --check"
 
 let test_load_check_fails_on_counting_net () =
   (* The negative control (docs/LOAD.md): the counting network's
@@ -371,7 +374,7 @@ let test_load_check_fails_on_counting_net () =
 
 let test_load_usage_errors () =
   check_exit "unknown counter = exit 2" 2 "load -c no-such-counter --check";
-  check_exit "sequential-only counter = exit 2" 2 "load -c static-tree";
+
   check_exit "--rate and --arrivals together = exit 2" 2
     "load -c central --rate 1.0 --arrivals poisson:1.0";
   check_exit "bad arrivals grammar = exit 2" 2
@@ -528,6 +531,7 @@ let goldens =
     ("run_combining_debug", "run -c combining -n 16 --delay exp:1 --debug");
     ( "load_counting_net",
       "load -c counting-net -n 64 --rate 2.0 --ops 2000 --seed 42" );
+    ("load_durable", "load -c durable -n 16 --rate 0.05 --ops 200 --seed 42");
     ("mc_retire_tree", "mc -c retire-tree -n 8 -s explicit:1,8,4");
     ("list", "list");
   ]

@@ -257,8 +257,7 @@ let test_registry_lookup () =
   Alcotest.(check bool)
     "unknown name" true
     (Baselines.Registry.find "no-such-counter" = None);
-  (* [concurrent_all] is derived from [all]: pin both orders so the
-     derivation cannot silently drop or reorder a counter. *)
+  (* Pin the order of [all]. *)
   check
     Alcotest.(list string)
     "all order"
@@ -269,25 +268,138 @@ let test_registry_lookup () =
       "quorum-crumbling-wall"; "quorum-projective-plane"; "durable";
     ]
     (Baselines.Registry.names ());
-  let concurrent =
-    [
-      "retire-tree"; "central"; "combining"; "counting-net"; "diffracting";
-      "quorum-majority"; "quorum-grid"; "quorum-tree";
-      "quorum-crumbling-wall"; "quorum-projective-plane";
-    ]
-  in
-  check
-    Alcotest.(list string)
-    "concurrent order" concurrent
-    (Baselines.Registry.concurrent_names ());
-  (* [find] was checked above for every name of [all]. *)
+  (* Every counter runs open loop: [find_concurrent] resolves every name
+     [find] resolves, the controls and sync-count included. *)
   List.iter
-    (fun name ->
+    (fun (module S : Counter.Counter_intf.S) ->
+      let name = S.name in
       match Baselines.Registry.find_concurrent name with
       | Some (module C : Counter.Counter_intf.CONCURRENT) ->
           check Alcotest.string "find_concurrent" name C.name
       | None -> Alcotest.failf "find_concurrent misses %s" name)
-    concurrent
+    (Baselines.Registry.all
+    @ (Baselines.Registry.sync_count :: Baselines.Registry.broken))
+
+(* The host checks origins at the call, for every counter and every
+   entry point; a rejected call leaves the counter usable. *)
+module type BATCH = sig
+  include Counter.Counter_intf.CONCURRENT
+
+  val run_batch : t -> origins:int list -> (int * int) list
+end
+
+module type TIMED_BATCH = sig
+  include BATCH
+
+  val run_batch_timed :
+    t -> ?stagger:float -> origins:int list -> unit -> Counter.History.op list
+end
+
+let batch_counters : (module BATCH) list =
+  [
+    (module Core.Retire_counter);
+    (module Baselines.Static_tree);
+    (module Baselines.Combining_tree);
+    (module Baselines.Counting_network);
+    (module Baselines.Periodic_counter);
+    (module Baselines.Diffracting_tree);
+  ]
+
+let rejects what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: accepted" what
+
+let test_origins_checked_at_the_call () =
+  List.iter
+    (fun (module S : Counter.Counter_intf.S) ->
+      let (module C : Counter.Counter_intf.CONCURRENT) =
+        Option.get (Baselines.Registry.find_concurrent S.name)
+      in
+      let n = C.supported_n 8 in
+      let c = C.create ~n () in
+      List.iter
+        (fun origin ->
+          let what call = Printf.sprintf "%s: %s ~origin:%d" C.name call origin in
+          rejects (what "inc_result") (fun () -> C.inc_result c ~origin);
+          rejects (what "launch_at") (fun () ->
+              C.launch_at c ~op:0 ~origin ~at:0.))
+        [ 0; n + 1 ];
+      C.run_open c;
+      check Alcotest.int (C.name ^ ": nothing launched") 0
+        (List.length (C.completions c));
+      match C.inc_result c ~origin:1 with
+      | Counter.Counter_intf.Completed v ->
+          check Alcotest.int (C.name ^ ": first value") 0 v
+      | Counter.Counter_intf.Stalled r -> Alcotest.failf "%s: %s" C.name r)
+    (Baselines.Registry.all
+    @ (Baselines.Registry.sync_count :: Baselines.Registry.broken));
+  List.iter
+    (fun (module B : BATCH) ->
+      let n = B.supported_n 8 in
+      let c = B.create ~n () in
+      List.iter
+        (fun origin ->
+          rejects
+            (Printf.sprintf "%s: run_batch ~origins:[%d]" B.name origin)
+            (fun () -> B.run_batch c ~origins:[ 1; origin ]))
+        [ 0; n + 1 ];
+      check Alcotest.int (B.name ^ ": first value") 0 (B.inc c ~origin:1))
+    batch_counters
+
+(* One batch rule for every counter that offers batches: not empty, each
+   origin once, results in completion order. *)
+let test_batch_rule () =
+  List.iter
+    (fun (module B : BATCH) ->
+      let c = B.create ~n:(B.supported_n 16) () in
+      rejects (B.name ^ ": empty batch") (fun () -> B.run_batch c ~origins:[]);
+      rejects (B.name ^ ": [3; 3]") (fun () ->
+          B.run_batch c ~origins:[ 3; 3 ]);
+      let results = B.run_batch c ~origins:[ 5; 3; 1 ] in
+      check
+        Alcotest.(list int)
+        (B.name ^ ": every origin once")
+        [ 1; 3; 5 ]
+        (List.sort Int.compare (List.map fst results));
+      check
+        Alcotest.(list int)
+        (B.name ^ ": values 0..2")
+        [ 0; 1; 2 ]
+        (List.sort Int.compare (List.map snd results)))
+    batch_counters;
+  List.iter
+    (fun (module B : TIMED_BATCH) ->
+      let c = B.create ~n:(B.supported_n 16) () in
+      let timed =
+        B.run_batch_timed c ~stagger:2.0
+          ~origins:(List.init 8 (fun i -> i + 1))
+          ()
+      in
+      check Alcotest.int (B.name ^ ": timed batch size") 8 (List.length timed);
+      let start =
+        (List.find (fun (o : Counter.History.op) -> o.origin = 1) timed)
+          .invoked_at
+      in
+      ignore
+        (List.fold_left
+           (fun last (o : Counter.History.op) ->
+             if o.completed_at < last then
+               Alcotest.failf "%s: results not in completion order" B.name;
+             check (Alcotest.float 0.)
+               (Printf.sprintf "%s: op from %d invoked at its stagger" B.name
+                  o.origin)
+               (float_of_int (o.origin - 1) *. 2.0)
+               (o.invoked_at -. start);
+             o.completed_at)
+           neg_infinity timed))
+    [
+      (module Core.Retire_counter : TIMED_BATCH);
+      (module Baselines.Static_tree);
+      (module Baselines.Counting_network);
+      (module Baselines.Periodic_counter);
+      (module Baselines.Diffracting_tree);
+    ]
 
 let test_names_unique () =
   let names = List.sort compare (Baselines.Registry.names ()) in
@@ -397,6 +509,9 @@ let () =
         [
           Alcotest.test_case "lookup" `Quick test_registry_lookup;
           Alcotest.test_case "names unique" `Quick test_names_unique;
+          Alcotest.test_case "origins checked at the call" `Quick
+            test_origins_checked_at_the_call;
+          Alcotest.test_case "one batch rule" `Quick test_batch_rule;
         ] );
       ( "negative-control",
         [

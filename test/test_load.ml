@@ -310,6 +310,61 @@ let test_every_concurrent_counter_completes () =
           true r.D.analysis.H.quiescent)
     Baselines.Registry.concurrent_all
 
+(* Closed loop vs open loop, pinned together for every counter: the same
+   origins run once with [inc_result] and once as open-loop arrivals 1000
+   time units apart, so no two operations overlap. Both runs must return
+   the same values in op order and the same per-processor load vector —
+   for the quorum counters this pins the sequential client to the
+   open-loop one. *)
+let every_counter =
+  Baselines.Registry.all
+  @ (Baselines.Registry.sync_count :: Baselines.Registry.broken)
+
+let test_closed_open_differential () =
+  List.iter
+    (fun (module S : Counter.Counter_intf.S) ->
+      let (module C : Counter.Counter_intf.CONCURRENT) =
+        match Baselines.Registry.find_concurrent S.name with
+        | Some c -> c
+        | None -> Alcotest.failf "%s: no open-loop view" S.name
+      in
+      let n = C.supported_n 16 in
+      let origins =
+        Counter.Schedule.origins (Counter.Schedule.Random 40)
+          (Sim.Rng.create ~seed:43) ~n
+      in
+      let fresh () = C.create ~seed:42 ~delay:(Sim.Delay.Constant 1.0) ~n () in
+      let closed = fresh () in
+      let closed_values =
+        List.map
+          (fun origin ->
+            match C.inc_result closed ~origin with
+            | Counter.Counter_intf.Completed v -> v
+            | Counter.Counter_intf.Stalled r ->
+                Alcotest.failf "%s: closed op stalled: %s" C.name r)
+          origins
+      in
+      let opened = fresh () in
+      List.iteri
+        (fun op origin ->
+          C.launch_at opened ~op ~origin ~at:(1000. *. float_of_int (op + 1)))
+        origins;
+      C.run_open opened;
+      let open_values =
+        List.map
+          (fun (_, v, _) -> v)
+          (List.sort
+             (fun (a, _, _) (b, _, _) -> Int.compare a b)
+             (C.completions opened))
+      in
+      check Alcotest.(list int) (C.name ^ ": values") closed_values open_values;
+      check
+        Alcotest.(array int)
+        (C.name ^ ": load vector")
+        (Sim.Metrics.load_array (C.metrics closed))
+        (Sim.Metrics.load_array (C.metrics opened)))
+    every_counter
+
 let test_latency_percentiles_ordered () =
   let r =
     D.run_load ~seed:42 ~delay:(Sim.Delay.Exponential 1.0)
@@ -382,6 +437,8 @@ let () =
         [
           Alcotest.test_case "every counter completes" `Quick
             test_every_concurrent_counter_completes;
+          Alcotest.test_case "closed = open without overlap" `Quick
+            test_closed_open_differential;
           Alcotest.test_case "percentiles ordered" `Quick
             test_latency_percentiles_ordered;
           Alcotest.test_case "report reproducible" `Slow
