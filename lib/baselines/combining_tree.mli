@@ -44,9 +44,11 @@ val combining_rate : t -> float
 (** [combined / (combined + uncombined)], 0 if no traffic. *)
 
 val run_batch : t -> origins:int list -> (int * int) list
-(** Launch all origins concurrently (each origin at most once per batch);
-    returns [(origin, value)] pairs. Values across a batch are distinct
-    and contiguous. One traced operation. *)
+(** Launch all origins concurrently and run to quiescence; returns
+    [(origin, value)] pairs in completion order. Values across a batch
+    are distinct and contiguous. One traced operation. Raises
+    [Invalid_argument] on an empty batch, an origin out of range or an
+    origin listed twice. *)
 
 include Counter.Counter_intf.CONCURRENT with type t := t
 (** Combining is the regime the tree was designed for, and the open-loop

@@ -28,15 +28,7 @@ module Protocol = struct
 
   let serialising = false
 
-  let width t = t.bitonic.Bitonic.width
-
-  let network_depth t = Bitonic.depth t.bitonic
-
   let balancer_count t = Array.length t.bitonic.Bitonic.balancers
-
-  let output_counts t = Array.copy t.counts
-
-  let step_property_held t = Bitonic.step_property t.counts
 
   (* Hosting: spread balancers and output counters round-robin over the
      processors. *)
@@ -125,12 +117,12 @@ let create_custom ?seed ?delay ?faults ~n ~network () =
 let create_width ?seed ?delay ?faults ~n ~width () =
   host (Protocol.create_width ?seed ?delay ?faults ~n ~width ())
 
-let width t = Protocol.width (core t)
+let width t = (core t).Protocol.bitonic.Bitonic.width
 
-let network_depth t = Protocol.network_depth (core t)
+let network_depth t = Bitonic.depth (core t).Protocol.bitonic
 
 let balancer_count t = Protocol.balancer_count (core t)
 
-let output_counts t = Protocol.output_counts (core t)
+let output_counts t = Array.copy (core t).Protocol.counts
 
-let step_property_held t = Protocol.step_property_held (core t)
+let step_property_held t = Bitonic.step_property (core t).Protocol.counts

@@ -22,7 +22,7 @@
     not linearizable under overlap) is exercised by experiment E7. *)
 
 module Protocol : sig
-  include Counter.Host.CORE
+  include Counter.Counter_intf.CORE
 
   val create_custom :
     ?seed:int ->

@@ -45,13 +45,16 @@ val diffractions : t -> int
 val output_counts : t -> int array
 
 val step_property_held : t -> bool
-(** Step property over leaf counters, checked at each quiescent point. *)
+(** Whether the leaf counts have the step property; meaningful at
+    quiescence, when no token is in flight. *)
 
 val run_batch : t -> origins:int list -> (int * int) list
 (** Launch all origins concurrently; runs to quiescence and returns
     [(origin, value)] in completion order. Values are distinct and form a
     contiguous range, but are not linearizable — the E11 experiment
-    checks exactly that. Counts as one traced operation. *)
+    checks exactly that. Counts as one traced operation. Raises
+    [Invalid_argument] on an empty batch, an origin out of range or an
+    origin listed twice. *)
 
 val run_batch_timed :
   t -> ?stagger:float -> origins:int list -> unit -> Counter.History.op list

@@ -27,7 +27,7 @@
     model checker maps to its durability properties. *)
 
 module Protocol : sig
-  include Counter.Host.CORE
+  include Counter.Counter_intf.CORE
 
   val create_raw :
     ?seed:int ->
@@ -45,8 +45,8 @@ end
 
 include Counter.Counter_intf.CONCURRENT
 (** Open-loop operations run one after another (see
-    {!Counter.Host.CORE.serialising}): the writer's pipeline serves one
-    increment at a time, so a backlog shows up as latency. *)
+    {!Counter.Counter_intf.CORE.serialising}): the writer's pipeline
+    serves one increment at a time, so a backlog shows up as latency. *)
 
 val create_raw :
   ?seed:int ->

@@ -58,7 +58,7 @@ val config_n : config -> int
 (** Number of processors the configuration serves: [arity^(depth+1)]. *)
 
 module Protocol : sig
-  include Counter.Host.CORE
+  include Counter.Counter_intf.CORE
 
   val create_with :
     ?seed:int -> ?delay:Sim.Delay.t -> ?faults:Sim.Fault.t -> config -> t

@@ -35,7 +35,7 @@ val paper_config : k:int -> config
 val config_n : config -> int
 
 module Protocol : sig
-  include Counter.Host.CORE
+  include Counter.Counter_intf.CORE
 
   val create_with :
     ?seed:int ->

@@ -24,7 +24,7 @@
     full-reception rounds) raises an ordinary non-spec stall. *)
 
 module Protocol : sig
-  include Counter.Host.CORE
+  include Counter.Counter_intf.CORE
 
   val create_with :
     ?seed:int ->
@@ -72,5 +72,5 @@ include Counter.Counter_intf.CONCURRENT with type t := t
     [b <= f] turned processors), on a starved round (a crashed
     participant), or when no reply reaches the origin. Open-loop
     operations run one after another (see
-    {!Counter.Host.CORE.serialising}): each runs its full agreement before
-    the next one starts. *)
+    {!Counter.Counter_intf.CORE.serialising}): each runs its full
+    agreement before the next one starts. *)

@@ -102,25 +102,28 @@ type counter = (module S)
 (** {1 Open-loop concurrency}
 
     The paper's "enough time elapses between operations" assumption is
-    what {!S.inc}'s run-to-quiescence encodes. A counter that can absorb
-    genuine overlap additionally implements [CONCURRENT]: operations are
-    {e injected} at arrival times drawn from an open-loop process
-    ({!Sim.Arrivals}) without waiting for earlier operations, and
-    completions are matched back by an explicit operation id — an origin
-    may have many operations in flight at once, so origin alone cannot
-    pair requests with replies.
+    what {!S.inc}'s run-to-quiescence encodes. [CONCURRENT] adds the open
+    loop: operations are {e injected} at arrival times drawn from an
+    open-loop process ({!Sim.Arrivals}) without waiting for earlier
+    operations, and completions are matched back by an explicit
+    operation id — an origin may have many operations in flight at once,
+    so origin alone cannot pair requests with replies. Every counter
+    built with {!Host} implements it.
 
     Protocol contract: {!CONCURRENT.launch_at} is called once per
     operation, in non-decreasing [at] order with distinct [op] ids
     [>= 0], all before {!CONCURRENT.run_open}. A genuinely concurrent
     protocol schedules each injection as a local timer on its own
     network and lets one {!Sim.Network.run_to_quiescence} drain
-    everything; a serialising protocol (the paper's retire tree) may
-    instead process each arrival synchronously inside [launch_at] —
-    queueing delay then shows up in its completion times, which is
-    exactly the honest cost of serialisation. Per-operation traces are
-    not recorded in this mode (trace bracketing assumes one operation at
-    a time); metrics still accumulate. *)
+    everything; no per-operation traces are recorded for overlapping
+    operations (trace bracketing assumes one operation at a time), but
+    metrics still accumulate. A serialising protocol (the paper's retire
+    tree, {!CORE.serialising}) instead serves each arrival to
+    completion inside [launch_at], as one traced closed-loop operation
+    that starts at its arrival time or as soon as the previous operation
+    finished, whichever is later — so an operation may start after its
+    arrival, and queueing delay shows up in its completion time, which
+    is exactly the honest cost of serialisation. *)
 
 module type CONCURRENT = sig
   include S
@@ -140,3 +143,63 @@ module type CONCURRENT = sig
 end
 
 type concurrent = (module CONCURRENT)
+
+(** {1 Protocol cores}
+
+    A counter is written as a protocol {e core}: its message payload, its
+    state, the handler the network calls on each delivery, how an
+    operation starts at its origin, and how a closed-loop operation ends.
+    The scheduler stays outside the core (Aspnes' state-machine view of a
+    message-passing protocol); {!Host.Make} derives the whole
+    {!CONCURRENT} counter from it.
+
+    The host starts an operation with [start ~reply ~op ~origin] and the
+    core reports each value it hands out with [reply ~op v]. [op] is [-1]
+    for a closed-loop operation, the origin itself for a batch member
+    (the origins of a batch are distinct), and the caller's id ([>= 0])
+    in open loop. During a closed-loop operation every reply counts for
+    that operation. *)
+
+type reply = op:int -> int -> unit
+(** How a core reports that operation [op] returned a value. A value
+    delivered twice (a duplication fault) may be reported twice. *)
+
+module type CORE = sig
+  type payload
+  type t
+
+  val name : string
+  val describe : string
+  val supported_n : int -> int
+
+  val who : string
+  (** Module name used in error messages and stall reasons
+      (["Retire_counter"], ...). *)
+
+  val serialising : bool
+  (** [false]: open-loop operations start at their arrival times and
+      overlap. [true]: they run one after another, each as a closed-loop
+      operation that starts at its arrival or as soon as the previous one
+      finished, whichever is later. *)
+
+  val create :
+    ?seed:int -> ?delay:Sim.Delay.t -> ?faults:Sim.Fault.t -> n:int -> unit -> t
+  (** The core over its own fresh network of [n] processors. *)
+
+  val net : t -> payload Sim.Network.t
+  val value : t -> int
+
+  val handle : t -> reply:reply -> self:int -> src:int -> payload -> unit
+  (** Processor [self] receives a payload from [src]. *)
+
+  val start : t -> reply:reply -> op:int -> origin:int -> unit
+  (** Begin operation [op] at [origin] (already range-checked). *)
+
+  val verdict : t -> origin:int -> int option -> int
+  (** A closed-loop operation from [origin] reached quiescence; the
+      argument is the first value replied during it. Return the
+      operation's value or raise {!Stall} with the reason. *)
+
+  val copy : t -> payload Sim.Network.t -> t
+  (** Deep copy of the quiescent state over the given network clone. *)
+end

@@ -1,31 +1,8 @@
-type reply = op:int -> int -> unit
-
-module type CORE = sig
-  type payload
-  type t
-
-  val name : string
-  val describe : string
-  val supported_n : int -> int
-  val who : string
-  val serialising : bool
-
-  val create :
-    ?seed:int -> ?delay:Sim.Delay.t -> ?faults:Sim.Fault.t -> n:int -> unit -> t
-
-  val net : t -> payload Sim.Network.t
-  val value : t -> int
-  val handle : t -> reply:reply -> self:int -> src:int -> payload -> unit
-  val start : t -> reply:reply -> op:int -> origin:int -> unit
-  val verdict : t -> origin:int -> int option -> int
-  val copy : t -> payload Sim.Network.t -> t
-end
-
-module Make (C : CORE) = struct
+module Make (C : Counter_intf.CORE) = struct
   type t = {
     core : C.t;
     net : C.payload Sim.Network.t;
-    reply : reply;
+    reply : Counter_intf.reply;
     mutable traces_rev : Sim.Trace.t list;
     mutable closing : bool;  (* a closed-loop operation is running *)
     mutable first : int option;  (* its first reply *)

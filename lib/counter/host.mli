@@ -1,65 +1,10 @@
-(** One host for every counter.
+(** One host for every counter: {!Make} turns a protocol core
+    ({!Counter_intf.CORE}) into the full {!Counter_intf.CONCURRENT}
+    counter. Origin checks, the per-operation trace bracket, closed-loop
+    [inc], open-loop [launch_at]/[run_open]/[completions], batches,
+    [clone] and handler installation are written once, here. *)
 
-    A counter is written as a protocol {e core}: its message payload, its
-    state, the handler the network calls on each delivery, how an
-    operation starts at its origin, and how a closed-loop operation ends.
-    The scheduler stays outside the core (Aspnes' state-machine view of a
-    message-passing protocol). {!Make} derives everything else once:
-    origin checks, the per-operation trace bracket, closed-loop [inc],
-    open-loop [launch_at]/[run_open]/[completions], batches and [clone].
-
-    {b Operations.} The host starts an operation with
-    [start ~reply ~op ~origin] and the core reports each value it hands
-    out with [reply ~op v]. [op] is [-1] for a closed-loop operation, the
-    origin itself for a batch member (the origins of a batch are
-    distinct), and the caller's id ([>= 0]) in open loop. During a
-    closed-loop operation every reply counts for that operation. *)
-
-type reply = op:int -> int -> unit
-(** How a core reports that operation [op] returned a value. A value
-    delivered twice (a duplication fault) may be reported twice. *)
-
-module type CORE = sig
-  type payload
-  type t
-
-  val name : string
-  val describe : string
-  val supported_n : int -> int
-
-  val who : string
-  (** Module name used in error messages and stall reasons
-      (["Retire_counter"], ...). *)
-
-  val serialising : bool
-  (** [false]: open-loop operations start at their arrival times and
-      overlap. [true]: they run one after another, each as a closed-loop
-      operation that starts at its arrival or as soon as the previous one
-      finished, whichever is later. *)
-
-  val create :
-    ?seed:int -> ?delay:Sim.Delay.t -> ?faults:Sim.Fault.t -> n:int -> unit -> t
-  (** The core over its own fresh network of [n] processors. *)
-
-  val net : t -> payload Sim.Network.t
-  val value : t -> int
-
-  val handle : t -> reply:reply -> self:int -> src:int -> payload -> unit
-  (** Processor [self] receives a payload from [src]. *)
-
-  val start : t -> reply:reply -> op:int -> origin:int -> unit
-  (** Begin operation [op] at [origin] (already range-checked). *)
-
-  val verdict : t -> origin:int -> int option -> int
-  (** A closed-loop operation from [origin] reached quiescence; the
-      argument is the first value replied during it. Return the
-      operation's value or raise {!Counter_intf.Stall} with the reason. *)
-
-  val copy : t -> payload Sim.Network.t -> t
-  (** Deep copy of the quiescent state over the given network clone. *)
-end
-
-module Make (C : CORE) : sig
+module Make (C : Counter_intf.CORE) : sig
   include Counter_intf.CONCURRENT
 
   val host : C.t -> t
