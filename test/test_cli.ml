@@ -374,7 +374,6 @@ let test_load_check_fails_on_counting_net () =
 
 let test_load_usage_errors () =
   check_exit "unknown counter = exit 2" 2 "load -c no-such-counter --check";
-
   check_exit "--rate and --arrivals together = exit 2" 2
     "load -c central --rate 1.0 --arrivals poisson:1.0";
   check_exit "bad arrivals grammar = exit 2" 2
