@@ -22,9 +22,9 @@ let concurrent_all : I.concurrent list =
     (module Core.Durable_counter);
   ]
 
-let sequential (module C : I.CONCURRENT) : I.counter = (module C)
+let to_counter (module C : I.CONCURRENT) : I.counter = (module C)
 
-let all = List.map sequential concurrent_all
+let all = List.map to_counter concurrent_all
 
 (* Correct but priced out of [all]: every op is (f+1) phases of all-to-all
    exchange, O(f * n^2) messages, so default sweeps (dcount compare runs
@@ -41,11 +41,11 @@ let broken_open : I.concurrent list =
     (module Sync_no_threshold);
   ]
 
-let sync_count = sequential sync_count_open
+let sync_count = to_counter sync_count_open
 
 let amnesiac : I.counter = (module Amnesiac)
 
-let broken = List.map sequential broken_open
+let broken = List.map to_counter broken_open
 
 let name_of (module C : I.S) = C.name
 
@@ -54,7 +54,7 @@ let find_concurrent name =
     (fun (module C : I.CONCURRENT) -> C.name = name)
     (concurrent_all @ (sync_count_open :: broken_open))
 
-let find name = Option.map sequential (find_concurrent name)
+let find name = Option.map to_counter (find_concurrent name)
 
 let names () = List.map name_of all
 
