@@ -266,23 +266,6 @@ let values_monotonic values =
   Array.iteri (fun i v -> if i > 0 && v <= values.(i - 1) then ok := false) values;
   !ok
 
-(* Hot Spot Lemma under a crash adversary: the lemma is proven for
-   crash-free execution, so check it within crash-free segments — an
-   operation during which a fault fired breaks the chain (its own
-   intersection with either neighbour is excused), and an operation that
-   delivered no message at all (e.g. its origin was already dead) is
-   transparent rather than a break. *)
-let faulty_hotspot traces =
-  let segments =
-    List.fold_left
-      (fun segs t ->
-        if Sim.Trace.fault_count t > 0 then [] :: segs
-        else if Sim.Trace.message_count t = 0 then segs
-        else match segs with cur :: rest -> (t :: cur) :: rest | [] -> [ [ t ] ])
-      [ [] ] traces
-  in
-  List.concat_map (fun seg -> Hotspot.check (List.rev seg)) segments
-
 let contains ~sub s =
   let ls = String.length sub and l = String.length s in
   let rec go i = i + ls <= l && (String.sub s i ls = sub || go (i + 1)) in
@@ -351,7 +334,7 @@ let check_properties ~config ~faulty ~schedule ~origins ~n exec =
           "completed values " ^ string_of_values values
           ^ " do not rise monotonically across sequential operations" )
     else begin
-      match faulty_hotspot exec.traces with
+      match Hotspot.check_under_faults exec.traces with
       | v :: _ ->
           Some (Hotspot_violated, Format.asprintf "%a" Hotspot.pp_violation v)
       | [] -> if config.check_progress then progress_violation exec else None

@@ -27,7 +27,9 @@ open Counter
     - the history is linearizable ({!History.check} over synthetic
       unit-spaced timestamps — exact, because operations are
       sequential);
-    - the Hot Spot Lemma holds ({!Hotspot.check});
+    - the Hot Spot Lemma holds ({!Hotspot.check}; under fault plans
+      {!Hotspot.check_under_faults}, and the first violation is the
+      oldest);
     - on fault-free each-once schedules, the bottleneck load is at least
       the paper's [k] ({!Core.Lower_bound.satisfied_by}, which exempts a
       single processor) — the Lower Bound Theorem, checked on {e every}

@@ -1,5 +1,3 @@
-module Int_set = Set.Make (Int)
-
 let quorums (module Q : Quorum_intf.S) ~n ~slots =
   let n = Q.supported_n n in
   let q = Q.create ~n in
@@ -14,14 +12,21 @@ let well_formed (module Q : Quorum_intf.S) ~n ~slots =
       && List.for_all (fun e -> e >= 1 && e <= n) members)
     qs
 
+(* Merge walk over two sorted, de-duplicated lists. *)
+let rec disjoint a b =
+  match (a, b) with
+  | [], _ | _, [] -> true
+  | x :: a', y :: b' ->
+      if x < y then disjoint a' b else if y < x then disjoint a b' else false
+
 let first_violation (module Q : Quorum_intf.S) ~n ~slots =
   let _, qs = quorums (module Q) ~n ~slots in
-  let sets = Array.of_list (List.map Int_set.of_list qs) in
+  let sets = Array.of_list (List.map (List.sort_uniq Int.compare) qs) in
   let violation = ref None in
   (try
      for i = 0 to Array.length sets - 1 do
        for j = i + 1 to Array.length sets - 1 do
-         if Int_set.is_empty (Int_set.inter sets.(i) sets.(j)) then begin
+         if disjoint sets.(i) sets.(j) then begin
            violation := Some (i, j);
            raise Exit
          end

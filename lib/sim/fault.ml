@@ -232,21 +232,14 @@ let partitioned t ~src ~dst ~at =
 let store_down t ~at =
   List.exists (fun (t0, t1) -> at >= t0 && at < t1) t.store_outages
 
-module Int_set = Set.Make (Int)
+let processors_of (cs : crash list) =
+  List.sort_uniq Int.compare (List.map (fun (c : crash) -> c.processor) cs)
 
-let crash_processors t =
-  Int_set.elements
-    (List.fold_left
-       (fun acc (c : crash) -> Int_set.add c.processor acc)
-       Int_set.empty t.crashes)
+let crash_processors t = processors_of t.crashes
 
 let crash_count t = List.length (crash_processors t)
 
-let byzantine_processors t =
-  Int_set.elements
-    (List.fold_left
-       (fun acc (c : crash) -> Int_set.add c.processor acc)
-       Int_set.empty t.byz)
+let byzantine_processors t = processors_of t.byz
 
 let byz_count t = List.length (byzantine_processors t)
 

@@ -62,22 +62,90 @@ let fault_kind_label = function
 let duration t =
   if t.count = 0 then 0. else t.events_arr.(t.count - 1).time -. t.start_time
 
-module Int_set = Set.Make (Int)
+let processors t =
+  List.sort_uniq Int.compare
+    (t.origin :: List.concat_map (fun e -> [ e.src; e.dst ]) (events t))
 
-let processor_set t =
-  let acc = ref (Int_set.singleton t.origin) in
+let touches t q =
+  let rec from i =
+    i < t.count
+    &&
+    let e = t.events_arr.(i) in
+    e.src = q || e.dst = q || from (i + 1)
+  in
+  t.origin = q || from 0
+
+(* The Hot Spot pass. Trace number k of the list stamps every processor
+   it touches with k; a processor still stamped k - 1 is one it shares
+   with the trace before it. Each trace is scanned once and no pair
+   allocates anything. Stamps live in an array indexed by id minus the
+   smallest id in the list, unless the ids spread over more than four
+   slots per processor occurrence (sparse, huge or mixed-sign ids), where
+   the array would dwarf the traces; those go to a hash table. *)
+type stamps = Dense of int * int array | Sparse of (int, int) Hashtbl.t
+
+let stamps_for traces =
+  let lo = ref max_int and hi = ref min_int and seen = ref 0 in
+  List.iter
+    (fun t ->
+      lo := Int.min !lo t.origin;
+      hi := Int.max !hi t.origin;
+      for i = 0 to t.count - 1 do
+        let e = t.events_arr.(i) in
+        lo := Int.min !lo (Int.min e.src e.dst);
+        hi := Int.max !hi (Int.max e.src e.dst)
+      done;
+      seen := !seen + 1 + (2 * t.count))
+    traces;
+  (* [!hi - !lo] wraps to a negative int when the span exceeds max_int. *)
+  let span = !hi - !lo in
+  if span >= 0 && span < 4 * !seen then Dense (!lo, Array.make (span + 1) 0)
+  else Sparse (Hashtbl.create 64)
+
+(* Stamp processor [x] with [k]; return its previous stamp (0 if none). *)
+let[@inline] restamp stamps x k =
+  match stamps with
+  | Dense (lo, arr) ->
+      let old = arr.(x - lo) in
+      arr.(x - lo) <- k;
+      old
+  | Sparse h ->
+      let old = Option.value (Hashtbl.find_opt h x) ~default:0 in
+      Hashtbl.replace h x k;
+      old
+
+(* Stamp all of [t]'s processors with [k]; true iff one carried [k - 1]. *)
+let stamp stamps t k =
+  let shared = ref (restamp stamps t.origin k = k - 1) in
   for i = 0 to t.count - 1 do
     let e = t.events_arr.(i) in
-    acc := Int_set.add e.src (Int_set.add e.dst !acc)
+    if restamp stamps e.src k = k - 1 then shared := true;
+    if restamp stamps e.dst k = k - 1 then shared := true
   done;
-  !acc
+  !shared
 
-let processors t = Int_set.elements (processor_set t)
+(* Disjoint consecutive pairs, chronological; with [~first] it returns
+   at the first one. *)
+let scan_pairs ~first traces =
+  match traces with
+  | [] | [ _ ] -> []
+  | t0 :: rest ->
+      let stamps = stamps_for traces in
+      ignore (stamp stamps t0 1);
+      let rec walk k prev acc = function
+        | [] -> List.rev acc
+        | t :: rest ->
+            if stamp stamps t k then walk (k + 1) t acc rest
+            else if first then [ (prev, t) ]
+            else walk (k + 1) t ((prev, t) :: acc) rest
+      in
+      walk 2 t0 [] rest
 
-let touches t q = Int_set.mem q (processor_set t)
+let disjoint_pairs traces = scan_pairs ~first:false traces
 
-let intersects a b =
-  not (Int_set.is_empty (Int_set.inter (processor_set a) (processor_set b)))
+let chain_intersects traces = scan_pairs ~first:true traces = []
+
+let intersects a b = chain_intersects [ a; b ]
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>op #%d initiated by processor %d (%d messages)@,"

@@ -87,11 +87,27 @@ val processors : t -> int list
     local operations it is still the only member). *)
 
 val touches : t -> int -> bool
-(** [touches t q] iff processor [q] is in {!processors}. *)
+(** [touches t q] iff processor [q] is in {!processors}. One scan of the
+    events, stopping at the first match; allocates nothing. *)
+
+val disjoint_pairs : t list -> (t * t) list
+(** [disjoint_pairs traces] is every consecutive pair [(a, b)] of
+    [traces] whose processor sets [I_a] and [I_b] share no processor, in
+    list order (chronological for a run's traces). It makes one pass over
+    each trace's origin and events, against one stamp table per call, so
+    its cost is linear in the total number of events plus the span of
+    processor ids (bounded by four slots per id occurrence; wider-spread
+    ids use a hash table). Nothing is allocated per pair beyond the
+    result. Lists of fewer than two traces give [[]]. *)
+
+val chain_intersects : t list -> bool
+(** [chain_intersects traces] iff {!disjoint_pairs} is empty — the Hot
+    Spot Lemma predicate over a run. Same pass, stopping at the first
+    disjoint pair. *)
 
 val intersects : t -> t -> bool
 (** [intersects a b] iff [I_a] and [I_b] share a processor — the Hot Spot
-    Lemma predicate for consecutive operations. *)
+    Lemma predicate for consecutive operations; [chain_intersects [a; b]]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the process as an arrow diagram, one message per line

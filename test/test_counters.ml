@@ -424,7 +424,19 @@ let test_broken_counter_fails_checks () =
   Alcotest.(check bool) "wrong values detected" false
     (r.values_exact && r.sequentially_ordered);
   Alcotest.(check bool) "hot spot violation detected" false r.hotspot_ok;
-  Alcotest.(check bool) "violations counted" true (r.hotspot_violations > 0)
+  (* Each op touches only its origin and round-robin origins differ, so
+     every one of the 15 consecutive pairs is disjoint. *)
+  check Alcotest.int "violations counted" 15 r.hotspot_violations;
+  let c = Amnesiac.create ~n:8 () in
+  List.iter
+    (fun origin -> ignore (Amnesiac.inc_result c ~origin))
+    (List.init 16 (fun i -> (i mod 8) + 1));
+  match Counter.Hotspot.check (Amnesiac.traces c) with
+  | v :: _ ->
+      check Alcotest.(list int) "first violation: ops #0 (p1), #1 (p2)"
+        [ 0; 1; 1; 2 ]
+        [ v.first_op; v.second_op; v.first_origin; v.second_origin ]
+  | [] -> Alcotest.fail "no violation"
 
 let test_broken_counter_violates_lower_bound () =
   (* Zero messages: the lower bound is unsatisfiable — which is exactly
@@ -432,6 +444,142 @@ let test_broken_counter_violates_lower_bound () =
   let r = Counter.Driver.run_each_once (module Amnesiac) ~n:8 in
   Alcotest.(check bool) "bound violated" false
     (Core.Lower_bound.satisfied_by ~n:r.n ~bottleneck_load:r.bottleneck_load)
+
+(* ------------------------------------------------------------------ *)
+(* The Hot Spot check against a Set.Make (Int) reference. *)
+
+module Int_set = Set.Make (Int)
+
+(* A generated trace: origin, (src, dst) messages, and whether a fault
+   fired while it was open. *)
+type trace_spec = int * (int * int) list * bool
+
+let build_traces (specs : trace_spec list) =
+  List.mapi
+    (fun op_index (origin, msgs, faulted) ->
+      let t = Sim.Trace.create ~op_index ~origin () in
+      List.iteri
+        (fun i (src, dst) ->
+          Sim.Trace.record t
+            { Sim.Trace.seq = i + 1; time = float_of_int i; src; dst; tag = "m"; parent = i })
+        msgs;
+      if faulted then
+        Sim.Trace.record_fault t
+          { Sim.Trace.fault_time = 0.; fault_src = origin; fault_dst = origin; kind = Sim.Trace.Crashed };
+      t)
+    specs
+
+let ref_set t =
+  List.fold_left
+    (fun acc (e : Sim.Trace.event) -> Int_set.add e.src (Int_set.add e.dst acc))
+    (Int_set.singleton (Sim.Trace.origin t))
+    (Sim.Trace.events t)
+
+let ref_intersects a b = not (Int_set.disjoint (ref_set a) (ref_set b))
+
+let ref_check traces =
+  let rec walk acc = function
+    | a :: (b :: _ as rest) ->
+        let acc =
+          if ref_intersects a b then acc
+          else
+            {
+              Counter.Hotspot.first_op = Sim.Trace.op_index a;
+              second_op = Sim.Trace.op_index b;
+              first_origin = Sim.Trace.origin a;
+              second_origin = Sim.Trace.origin b;
+            }
+            :: acc
+        in
+        walk acc rest
+    | [ _ ] | [] -> List.rev acc
+  in
+  walk [] traces
+
+(* The rule as segments: a faulted trace closes one, a message-less one
+   is left out, and each segment is checked on its own, oldest first. *)
+let ref_check_under_faults traces =
+  let close seg segs = if seg = [] then segs else List.rev seg :: segs in
+  let seg, segs =
+    List.fold_left
+      (fun (seg, segs) t ->
+        if Sim.Trace.fault_count t > 0 then ([], close seg segs)
+        else if Sim.Trace.message_count t = 0 then (seg, segs)
+        else (t :: seg, segs))
+      ([], []) traces
+  in
+  List.concat_map ref_check (List.rev (close seg segs))
+
+let violation_t =
+  Alcotest.testable Counter.Hotspot.pp_violation ( = )
+
+let test_check_under_faults_oldest_first () =
+  (* ops 0|1 disjoint; op 2 faulted; op 4 sent nothing, and shares p8
+     with op 3, so only skipping it pairs 3 with 5, which are disjoint. *)
+  let traces =
+    build_traces
+      [
+        (1, [ (1, 2) ], false);
+        (3, [ (3, 4) ], false);
+        (5, [ (5, 6) ], true);
+        (7, [ (7, 8) ], false);
+        (8, [], false);
+        (9, [ (9, 10) ], false);
+      ]
+  in
+  let v first_op second_op first_origin second_origin =
+    { Counter.Hotspot.first_op; second_op; first_origin; second_origin }
+  in
+  Alcotest.(check (list violation_t))
+    "both segments, oldest first"
+    [ v 0 1 1 3; v 3 5 7 9 ]
+    (Counter.Hotspot.check_under_faults traces);
+  Alcotest.(check (list violation_t))
+    "plain check sees every disjoint pair"
+    [ v 0 1 1 3; v 1 2 3 5; v 2 3 5 7; v 4 5 8 9 ]
+    (Counter.Hotspot.check traces)
+
+(* Ids from a small range make shared and disjoint pairs both common;
+   the sparse mode mixes in huge and negative ids, and zero-length
+   message lists and lists of length 0 and 1 come up often. *)
+let gen_specs =
+  let open QCheck2.Gen in
+  let wide = oneofl [ min_int; max_int; -(1 lsl 40); 1 lsl 40; 999_983; -7 ] in
+  let* ids =
+    oneofl [ int_range 0 6; int_range (-5) 2; oneof [ int_range 0 3; wide ] ]
+  in
+  let trace =
+    triple ids (list_size (int_range 0 4) (pair ids ids)) (map (( = ) 0) (int_range 0 5))
+  in
+  list_size (int_range 0 8) trace
+
+let print_specs =
+  QCheck2.Print.(list (triple int (list (pair int int)) bool))
+
+let prop_matches_set_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"matches the set reference" ~count:1000
+       ~print:print_specs gen_specs (fun specs ->
+         let traces = build_traces specs in
+         let probes =
+           0 :: -1 :: max_int :: min_int
+           :: List.concat_map
+                (fun (o, msgs, _) -> o :: List.concat_map (fun (a, b) -> [ a; b ]) msgs)
+                specs
+         in
+         Counter.Hotspot.check traces = ref_check traces
+         && Counter.Hotspot.holds traces = (ref_check traces = [])
+         && Counter.Hotspot.check_under_faults traces = ref_check_under_faults traces
+         && List.for_all
+              (fun t ->
+                Sim.Trace.processors t = Int_set.elements (ref_set t)
+                && List.for_all
+                     (fun q -> Sim.Trace.touches t q = Int_set.mem q (ref_set t))
+                     probes
+                && List.for_all
+                     (fun u -> Sim.Trace.intersects t u = ref_intersects t u)
+                     traces)
+              traces))
 
 (* ------------------------------------------------------------------ *)
 (* Schedules *)
@@ -517,6 +665,12 @@ let () =
         [
           Alcotest.test_case "broken counter detected" `Quick test_broken_counter_fails_checks;
           Alcotest.test_case "broken counter misses bound" `Quick test_broken_counter_violates_lower_bound;
+        ] );
+      ( "hot spot check",
+        [
+          Alcotest.test_case "under faults: oldest segment first" `Quick
+            test_check_under_faults_oldest_first;
+          prop_matches_set_reference;
         ] );
       ( "schedules",
         [
