@@ -110,19 +110,40 @@ module Spine_bit = Structures.Retire_spine.Make (Structures.Flip_bit)
 module Spine_pq = Structures.Retire_spine.Make (Structures.Priority_queue_obj)
 module Central_bit = Structures.Central_object.Make (Structures.Flip_bit)
 
-let test_spine_counter_equals_handwritten () =
-  (* The generic spine instantiated with the counter object must behave
-     exactly like Core.Retire_counter: same values, same message count,
-     same bottleneck. *)
-  let n = 81 in
+(* Each operation's deliveries as (src, dst) pairs, in delivery order. *)
+let hops traces =
+  List.map
+    (fun tr ->
+      List.map (fun (e : Sim.Trace.event) -> (e.src, e.dst)) (Sim.Trace.events tr))
+    traces
+
+let check_same_run ~label ~expected_metrics ~expected_traces metrics traces =
+  check
+    Alcotest.(array int)
+    (label ^ ": same per-processor loads")
+    (Sim.Metrics.load_array expected_metrics)
+    (Sim.Metrics.load_array metrics);
+  check
+    Alcotest.(list (list (pair int int)))
+    (label ^ ": same deliveries per operation")
+    (hops expected_traces) (hops traces)
+
+(* [3n] origins drawn from a seeded stream, repeats included. *)
+let random_origins ~n =
+  let rng = Sim.Rng.create ~seed:n in
+  List.init (3 * n) (fun _ -> 1 + Sim.Rng.int rng n)
+
+let spine_equals_counter ~n origins =
   let spine = Spine_counter.create ~seed:4 ~n () in
   let hand = Core.Retire_counter.create ~seed:4 ~n () in
-  for i = 1 to n do
-    let a = Spine_counter.execute spine ~origin:i Structures.Counter_obj.Inc in
-    let b = Core.Retire_counter.inc hand ~origin:i in
-    check Alcotest.int "same value" b a
-  done;
+  List.iter
+    (fun origin ->
+      let b = Core.Retire_counter.inc hand ~origin in
+      let a = Spine_counter.execute spine ~origin Structures.Counter_obj.Inc in
+      check Alcotest.int "same value" b a)
+    origins;
   let ms = Spine_counter.metrics spine and mh = Core.Retire_counter.metrics hand in
+  let label = Printf.sprintf "n = %d" n in
   check Alcotest.int "same total messages"
     (Sim.Metrics.total_messages mh)
     (Sim.Metrics.total_messages ms);
@@ -131,7 +152,20 @@ let test_spine_counter_equals_handwritten () =
     (snd (Sim.Metrics.bottleneck ms));
   check Alcotest.int "same retirements"
     (Core.Retire_counter.total_retirements hand)
-    (Spine_counter.total_retirements spine)
+    (Spine_counter.total_retirements spine);
+  check_same_run ~label ~expected_metrics:mh
+    ~expected_traces:(Core.Retire_counter.traces hand)
+    ms (Spine_counter.traces spine)
+
+let test_spine_counter_equals_handwritten () =
+  (* The generic spine instantiated with the counter object must behave
+     exactly like Core.Retire_counter: same values, same per-processor
+     loads and the same deliveries in every operation, over the
+     each-processor-once sequence and over seeded random origins. *)
+  spine_equals_counter ~n:81 (List.init 81 (fun i -> i + 1));
+  List.iter
+    (fun n -> spine_equals_counter ~n (random_origins ~n))
+    [ 8; 81; 1024 ]
 
 let test_spine_flip_bit_correct () =
   let n = 81 in
@@ -290,6 +324,28 @@ let test_central_object_correct_and_hot () =
   check Alcotest.int "holder is bottleneck" 1 proc;
   check Alcotest.int "load 2(n-1)" (2 * (n - 1)) load
 
+module Central_counter = Structures.Central_object.Make (Structures.Counter_obj)
+
+let test_central_object_equals_central () =
+  (* The central strawman over the counter object against
+     Baselines.Central: same values, loads and deliveries. *)
+  List.iter
+    (fun n ->
+      let obj = Central_counter.create ~n () in
+      let base = Baselines.Central.create ~n () in
+      List.iter
+        (fun origin ->
+          let b = Baselines.Central.inc base ~origin in
+          let a = Central_counter.execute obj ~origin Structures.Counter_obj.Inc in
+          check Alcotest.int "same value" b a)
+        (random_origins ~n);
+      check_same_run
+        ~label:(Printf.sprintf "n = %d" n)
+        ~expected_metrics:(Baselines.Central.metrics base)
+        ~expected_traces:(Baselines.Central.traces base)
+        (Central_counter.metrics obj) (Central_counter.traces obj))
+    [ 8; 81; 1024 ]
+
 let test_spine_beats_central_for_bit () =
   let n = 81 in
   let spine = Spine_bit.create ~n () in
@@ -349,6 +405,8 @@ let () =
           Alcotest.test_case "correct and hot" `Quick
             test_central_object_correct_and_hot;
           Alcotest.test_case "clone" `Quick test_central_object_clone;
+          Alcotest.test_case "counter instance = Baselines.Central" `Quick
+            test_central_object_equals_central;
           Alcotest.test_case "spine beats central" `Quick
             test_spine_beats_central_for_bit;
         ] );
