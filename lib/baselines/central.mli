@@ -21,3 +21,57 @@ include Counter.Counter_intf.CONCURRENT
 
 val holder : int
 (** The processor storing the value ([= 1]). *)
+
+(** {1 Any sequential object}
+
+    The same protocol with the holder keeping any sequential object: a
+    request carries the operation, the holder applies it and replies with
+    the operation's index and result. The counter above runs it on
+    {!Core.Sequential_object.Unit}; [Structures.Central_object] hosts it
+    for the other objects. *)
+
+module Make (O : Core.Sequential_object.OBJECT) : sig
+  type payload
+  type t
+
+  val create :
+    ?seed:int ->
+    ?delay:Sim.Delay.t ->
+    ?faults:Sim.Fault.t ->
+    n:int ->
+    unit ->
+    t
+
+  val net : t -> payload Sim.Network.t
+
+  val value : t -> int
+  (** Operations the holder applied so far. *)
+
+  val state : t -> O.state
+
+  val result : t -> O.result option
+  (** The result the last served origin received. *)
+
+  val handle :
+    t ->
+    reply:Counter.Counter_intf.reply ->
+    self:int ->
+    src:int ->
+    payload ->
+    unit
+
+  val launch :
+    t ->
+    reply:Counter.Counter_intf.reply ->
+    op:int ->
+    origin:int ->
+    operation:O.operation ->
+    unit
+  (** Start operation [op] at [origin]; the holder serves its own
+      operations locally, without a message. *)
+
+  val verdict : who:string -> int option -> int
+  (** The first reply, or {!Counter.Counter_intf.Stall}. *)
+
+  val copy : t -> payload Sim.Network.t -> t
+end

@@ -17,14 +17,6 @@ include Counter.Host.Make (struct
      re-staffed root restarts from zero"
 
   let create ?seed ?delay ?faults ~n () =
-    match Core.Params.k_of_n_exact n with
-    | Some k ->
-        Ft.create_with ?seed ?delay ?faults ~emergency_handoff:false
-          (Core.Retire_ft.paper_config ~k)
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Ft_no_handoff.create: n = %d is not of the form k^(k+1); use \
-              supported_n"
-             n)
+    Ft.create_with ?seed ?delay ?faults ~emergency_handoff:false
+      (Core.Retire_plumbing.config_of_n ~who:"Ft_no_handoff" n)
 end)

@@ -9,14 +9,9 @@ include Counter.Host.Make (struct
     "the paper's tree without retirement: Theta(n) load at the root worker"
 
   let create ?seed ?delay ?faults ~n () =
-    match Core.Params.k_of_n_exact n with
-    | Some k ->
-        R.create_with ?seed ?delay ?faults
-          { (Core.Retire_counter.paper_config ~k) with retire_threshold = max_int }
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Static_tree.create: n = %d is not of the form k^(k+1); use \
-              supported_n"
-             n)
+    R.create_with ?seed ?delay ?faults
+      {
+        (Core.Retire_plumbing.config_of_n ~who:"Static_tree" n) with
+        retire_threshold = max_int;
+      }
 end)

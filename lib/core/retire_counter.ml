@@ -35,19 +35,12 @@ module Protocol = struct
     P.create_state ?seed ?delay ?faults ~who cfg
 
   let create ?seed ?delay ?faults ~n () =
-    match Params.k_of_n_exact n with
-    | Some k -> create_with ?seed ?delay ?faults (paper_config ~k)
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Retire_counter.create: n = %d is not of the form k^(k+1); use \
-              supported_n"
-             n)
+    create_with ?seed ?delay ?faults (P.config_of_n ~who n)
 
   let net = P.net
   let value = P.value
   let handle = P.handle
-  let start t ~reply:_ ~op:_ ~origin = P.launch t ~origin
+  let start t ~reply:_ ~op:_ ~origin = P.launch t ~origin ~operation:()
   let verdict _ ~origin:_ = P.verdict ~who
   let copy = P.copy
 end

@@ -169,7 +169,7 @@ module Protocol = struct
          waste the whole attempt. *)
       let lp = Tree.leaf_parent st.P.tree ~leaf:origin in
       st.P.leaf_believed_parent.(origin - 1) <- st.P.nodes.(lp).P.worker;
-      P.launch st ~origin;
+      P.launch st ~origin ~operation:();
       let timeout = st.P.cur_timeout in
       st.P.cur_timeout <- st.P.cur_timeout *. 2.;
       Sim.Network.schedule_local st.P.net ~delay:timeout (fun () ->
@@ -280,17 +280,10 @@ module Protocol = struct
       ?overflow_pool ~who cfg
 
   let create ?seed ?delay ?faults ~n () =
-    match Params.k_of_n_exact n with
-    | Some k -> create_with ?seed ?delay ?faults (paper_config ~k)
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Retire_ft.create: n = %d is not of the form k^(k+1); use \
-              supported_n"
-             n)
+    create_with ?seed ?delay ?faults (P.config_of_n ~who n)
 
   let start st ~reply:_ ~op:_ ~origin =
-    if not st.P.failure_aware then P.launch st ~origin
+    if not st.P.failure_aware then P.launch st ~origin ~operation:()
     else begin
       st.P.cur_origin <- origin;
       st.P.op_served <- false;

@@ -1,97 +1,42 @@
-module Make (O : Sequential_object.OBJECT) = struct
-  type payload =
-    | Request of { origin : int; operation : O.operation }
-    | Reply of { result : O.result }
+module Make (O : Core.Sequential_object.OBJECT) = struct
+  module E = Baselines.Central.Make (O)
 
-  let label = function
-    | Request { operation; _ } -> O.operation_to_string operation
-    | Reply _ -> "reply"
+  (* The engine and the operation [execute] hands to [start]. *)
+  type core = { engine : E.t; mutable operation : O.operation option }
 
-  let holder = 1
+  include Counter.Host.Make (struct
+    type payload = E.payload
+    type t = core
 
-  type t = {
-    net : payload Sim.Network.t;
-    n : int;
-    mutable object_state : O.state;
-    mutable last_result : O.result option;
-    mutable operations : int;
-    mutable traces_rev : Sim.Trace.t list;
-  }
+    let name = "central-" ^ O.name
+    let describe = "single holder processor serving a sequential object"
+    let supported_n n = max 1 n
+    let who = "Central_object"
+    let serialising = true
 
-  let supported_n n = max 1 n
+    let create ?seed ?delay ?faults ~n () =
+      { engine = E.create ?seed ?delay ?faults ~n (); operation = None }
 
-  let handle st ~self:_ ~src = function
-    | Request { origin; operation } ->
-        ignore src;
-        let state, result = O.apply st.object_state operation in
-        st.object_state <- state;
-        Sim.Network.send st.net ~src:holder ~dst:origin (Reply { result })
-    | Reply { result } -> st.last_result <- Some result
+    let net c = E.net c.engine
+    let value c = E.value c.engine
+    let handle c = E.handle c.engine
 
-  let create ?(seed = 42) ?delay ~n () =
-    if n < 1 then invalid_arg "Central_object: n must be >= 1";
-    let net = Sim.Network.create ~seed ?delay ~label ~n () in
-    let st =
-      {
-        net;
-        n;
-        object_state = O.initial;
-        last_result = None;
-        operations = 0;
-        traces_rev = [];
-      }
-    in
-    Sim.Network.set_handler net (fun ~self ~src payload ->
-        handle st ~self ~src payload);
-    st
+    let start c ~reply ~op ~origin =
+      E.launch c.engine ~reply ~op ~origin ~operation:(Option.get c.operation)
 
-  let n t = t.n
+    let verdict _ ~origin:_ = E.verdict ~who
+    let copy c net = { c with engine = E.copy c.engine net }
+  end)
 
-  let state t = t.object_state
+  let create ?seed ?delay ~n () = create ?seed ?delay ~n ()
 
-  let operations t = t.operations
-
-  let metrics t = Sim.Network.metrics t.net
-
-  let traces t = List.rev t.traces_rev
-
+  (* The host's [inc] returns the operation's index; the result is the
+     one its origin received. *)
   let execute t ~origin operation =
-    if origin < 1 || origin > t.n then
-      invalid_arg "Central_object.execute: origin out of range";
-    Sim.Network.begin_op t.net ~origin;
-    let result =
-      if origin = holder then begin
-        let state, result = O.apply t.object_state operation in
-        t.object_state <- state;
-        result
-      end
-      else begin
-        t.last_result <- None;
-        Sim.Network.send t.net ~src:origin ~dst:holder
-          (Request { origin; operation });
-        ignore (Sim.Network.run_to_quiescence t.net);
-        match t.last_result with
-        | Some r -> r
-        | None -> failwith "Central_object.execute: no reply"
-      end
-    in
-    t.traces_rev <- Sim.Network.end_op t.net :: t.traces_rev;
-    t.operations <- t.operations + 1;
-    result
+    (core t).operation <- Some operation;
+    ignore (inc t ~origin);
+    Option.get (E.result (core t).engine)
 
-  let clone t =
-    let net = Sim.Network.clone_quiescent t.net in
-    let st =
-      {
-        net;
-        n = t.n;
-        object_state = t.object_state;
-        last_result = t.last_result;
-        operations = t.operations;
-        traces_rev = t.traces_rev;
-      }
-    in
-    Sim.Network.set_handler net (fun ~self ~src payload ->
-        handle st ~self ~src payload);
-    st
+  let state t = E.state (core t).engine
+  let operations = value
 end

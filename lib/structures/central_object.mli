@@ -2,9 +2,11 @@
     state, everyone else sends the operation and receives the result.
     Message-optimal (2 per remote operation, 0 for the holder), bottleneck
     Theta(n) — the baseline experiment E12 compares the generic
-    {!Retire_spine} against. *)
+    {!Retire_spine} against. A protocol core on {!Counter.Host}, like
+    [Baselines.Central], which it equals over {!Counter_obj} (the test
+    suite compares the loads and every operation's deliveries). *)
 
-module Make (O : Sequential_object.OBJECT) : sig
+module Make (O : Core.Sequential_object.OBJECT) : sig
   type t
 
   val create : ?seed:int -> ?delay:Sim.Delay.t -> n:int -> unit -> t
