@@ -515,85 +515,57 @@ let exp12_structures () =
           "hotspot";
         ]
   in
-  let row (object_name : string) (impl : string) ~messages ~bottleneck
-      ~correct ~hotspot =
-    Analysis.Table.add_row t
-      [
-        object_name;
-        impl;
-        string_of_int messages;
-        string_of_int bottleneck;
-        Analysis.Table.cell_bool correct;
-        Analysis.Table.cell_bool hotspot;
-      ]
-  in
-  (* Flip-bit. *)
-  let module Spine_bit = Structures.Retire_spine.Make (Structures.Flip_bit) in
-  let module Central_bit = Structures.Central_object.Make (Structures.Flip_bit) in
-  let spine = Spine_bit.create ~n () in
-  let reference = ref Structures.Flip_bit.initial in
-  let ok = ref true in
-  for i = 1 to n do
-    let st, expected = Structures.Flip_bit.apply !reference Structures.Flip_bit.Flip in
-    reference := st;
-    if Spine_bit.execute spine ~origin:i Structures.Flip_bit.Flip <> expected
-    then ok := false
-  done;
-  row "flip-bit" "retire-spine"
-    ~messages:(Sim.Metrics.total_messages (Spine_bit.metrics spine))
-    ~bottleneck:(snd (Sim.Metrics.bottleneck (Spine_bit.metrics spine)))
-    ~correct:!ok
-    ~hotspot:(Counter.Hotspot.holds (Spine_bit.traces spine));
-  let central = Central_bit.create ~n () in
-  let reference = ref Structures.Flip_bit.initial in
-  let ok = ref true in
-  for i = 1 to n do
-    let st, expected = Structures.Flip_bit.apply !reference Structures.Flip_bit.Flip in
-    reference := st;
-    if Central_bit.execute central ~origin:i Structures.Flip_bit.Flip <> expected
-    then ok := false
-  done;
-  row "flip-bit" "central"
-    ~messages:(Sim.Metrics.total_messages (Central_bit.metrics central))
-    ~bottleneck:(snd (Sim.Metrics.bottleneck (Central_bit.metrics central)))
-    ~correct:!ok
-    ~hotspot:(Counter.Hotspot.holds (Central_bit.traces central));
-  (* Max-register. *)
-  let module Spine_max = Structures.Retire_spine.Make (Structures.Max_register) in
-  let spine = Spine_max.create ~n () in
-  let reference = ref Structures.Max_register.initial in
-  let ok = ref true in
-  for i = 1 to n do
-    let op = Structures.Max_register.Write_max ((i * 37) mod 100) in
-    let st, expected = Structures.Max_register.apply !reference op in
-    reference := st;
-    if Spine_max.execute spine ~origin:i op <> expected then ok := false
-  done;
-  row "max-register" "retire-spine"
-    ~messages:(Sim.Metrics.total_messages (Spine_max.metrics spine))
-    ~bottleneck:(snd (Sim.Metrics.bottleneck (Spine_max.metrics spine)))
-    ~correct:!ok
-    ~hotspot:(Counter.Hotspot.holds (Spine_max.traces spine));
-  (* Priority queue. *)
-  let module Spine_pq =
-    Structures.Retire_spine.Make (Structures.Priority_queue_obj) in
-  let spine = Spine_pq.create ~n () in
-  let reference = ref Structures.Priority_queue_obj.initial in
-  let ok = ref true in
-  for i = 1 to n do
-    let op =
-      if i mod 3 = 0 then Structures.Priority_queue_obj.Extract_min
-      else Structures.Priority_queue_obj.Insert ((i * 53) mod 200)
+  (* Operation [op i] from processor [i], for i = 1..n, on the spine (and
+     on the central server if [central]), checked against the object's
+     specification: one row per implementation. *)
+  let rows (type o)
+      (module O : Core.Sequential_object.OBJECT with type operation = o)
+      ~(op : int -> o) ~central =
+    let check execute =
+      let reference = ref O.initial and ok = ref true in
+      for i = 1 to n do
+        let st, expected = O.apply !reference (op i) in
+        reference := st;
+        if execute ~origin:i (op i) <> expected then ok := false
+      done;
+      !ok
     in
-    let st, expected = Structures.Priority_queue_obj.apply !reference op in
-    reference := st;
-    if Spine_pq.execute spine ~origin:i op <> expected then ok := false
-  done;
-  row "priority-queue" "retire-spine"
-    ~messages:(Sim.Metrics.total_messages (Spine_pq.metrics spine))
-    ~bottleneck:(snd (Sim.Metrics.bottleneck (Spine_pq.metrics spine)))
-    ~correct:!ok
-    ~hotspot:(Counter.Hotspot.holds (Spine_pq.traces spine));
+    let row impl ~correct metrics traces =
+      Analysis.Table.add_row t
+        [
+          O.name;
+          impl;
+          string_of_int (Sim.Metrics.total_messages metrics);
+          string_of_int (snd (Sim.Metrics.bottleneck metrics));
+          Analysis.Table.cell_bool correct;
+          Analysis.Table.cell_bool (Counter.Hotspot.holds traces);
+        ]
+    in
+    let module Spine = Structures.Retire_spine.Make (O) in
+    let spine = Spine.create ~n () in
+    let correct = check (Spine.execute spine) in
+    row "retire-spine" ~correct (Spine.metrics spine) (Spine.traces spine);
+    if central then begin
+      let module Central = Structures.Central_object.Make (O) in
+      let server = Central.create ~n () in
+      let correct = check (Central.execute server) in
+      row "central" ~correct (Central.metrics server) (Central.traces server)
+    end
+  in
+  rows
+    (module Structures.Flip_bit)
+    ~op:(fun _ -> Structures.Flip_bit.Flip)
+    ~central:true;
+  rows
+    (module Structures.Max_register)
+    ~op:(fun i -> Structures.Max_register.Write_max ((i * 37) mod 100))
+    ~central:false;
+  rows
+    (module Structures.Priority_queue_obj)
+    ~op:(fun i ->
+      if i mod 3 = 0 then Structures.Priority_queue_obj.Extract_min
+      else Structures.Priority_queue_obj.Insert ((i * 53) mod 200))
+    ~central:false;
   print_table t;
   Format.printf
     "(Section 2's remark, realised: any operation-depends-on-predecessor \
