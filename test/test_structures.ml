@@ -1,6 +1,8 @@
 (* Tests for the generalised sequential-object machinery: the leftist
    heap, the object specifications, the generic retirement spine (and its
-   equivalence with the hand-written counter), and the central strawman. *)
+   equivalence with the hand-written counter), the central strawman (and
+   its equivalence with Baselines.Central), and the stack example of
+   docs/EXTENDING.md. *)
 
 let check = Alcotest.check
 
@@ -275,6 +277,33 @@ let test_spine_max_register_matches_reference () =
     [ (1, 5); (2, 3); (3, -1); (4, 9); (5, -1); (6, 9); (7, 2); (8, -1) ];
   check Alcotest.int "final state" 9 (Spine_max.state spine)
 
+(* The stack of docs/EXTENDING.md section 3, compiled from the document
+   itself (test/dune extracts it into Extending_stack), on the spine and
+   on the central server against its own specification. *)
+module Stack = Extending_stack.Stack
+module Central_stack = Structures.Central_object.Make (Stack)
+
+let prop_documented_stack_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"documented stack = its specification"
+       ~count:20
+       QCheck2.Gen.(
+         list_size (int_range 1 40) (pair (int_range 1 8) (int_range 0 99)))
+       (fun script ->
+         let spine = Extending_stack.Distributed_stack.create ~n:8 () in
+         let central = Central_stack.create ~n:8 () in
+         let reference = ref Stack.initial in
+         List.for_all
+           (fun (origin, v) ->
+             (* v < 40: pop; otherwise push v. *)
+             let op = if v < 40 then Stack.Pop else Stack.Push v in
+             let expected_state, expected = Stack.apply !reference op in
+             reference := expected_state;
+             let a = Extending_stack.Distributed_stack.execute spine ~origin op in
+             let b = Central_stack.execute central ~origin op in
+             a = expected && b = expected)
+           script))
+
 let test_spine_threshold_guard () =
   match
     Spine_bit.create_with
@@ -396,6 +425,7 @@ let () =
           prop_spine_bit_matches_reference;
           Alcotest.test_case "max-register matches reference" `Quick
             test_spine_max_register_matches_reference;
+          prop_documented_stack_matches_reference;
           Alcotest.test_case "threshold guard" `Quick test_spine_threshold_guard;
           Alcotest.test_case "clone" `Quick test_spine_clone;
           Alcotest.test_case "rejects bad n" `Quick test_spine_rejects_bad_n;
