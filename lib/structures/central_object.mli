@@ -2,9 +2,11 @@
     state, everyone else sends the operation and receives the result.
     Message-optimal (2 per remote operation, 0 for the holder), bottleneck
     Theta(n) — the baseline experiment E12 compares the generic
-    {!Retire_spine} against. A protocol core on {!Counter.Host}, like
-    [Baselines.Central], which it equals over {!Counter_obj} (the test
-    suite compares the loads and every operation's deliveries). *)
+    {!Retire_spine} against. This is [Baselines.Central]'s engine
+    ([Baselines.Central.Make]) with the object at the holder, run by the
+    counters' host ({!Counter.Host}); over {!Counter_obj} it equals
+    [Baselines.Central] (the test suite compares the loads and every
+    operation's deliveries). *)
 
 module Make (O : Core.Sequential_object.OBJECT) : sig
   type t

@@ -1,7 +1,7 @@
-(** The distributed counter as a {!Sequential_object.OBJECT} — the
+(** The distributed counter as a {!Core.Sequential_object.OBJECT} — the
     paper's structure, re-derived from the generic spine so the test
-    suite can confirm the generic machinery reproduces the hand-written
-    {!Core.Retire_counter} message for message. *)
+    suite can confirm that carrying an object through the engine changes
+    no delivery of {!Core.Retire_counter} (or of [Baselines.Central]). *)
 
 type state = int
 
