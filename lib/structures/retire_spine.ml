@@ -38,6 +38,7 @@ module Make (O : Core.Sequential_object.OBJECT) = struct
 
   let create_with ?seed ?delay cfg =
     host (Protocol.create_with ?seed ?delay cfg)
+
   let create ?seed ?delay ~n () = create ?seed ?delay ~n ()
 
   (* The host's [inc] returns the operation's index; the result is the
