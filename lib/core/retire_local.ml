@@ -337,12 +337,7 @@ module Protocol = struct
     t
 
   let create ?seed ?delay ?faults ~n () =
-    match Params.k_of_n_exact n with
-    | Some k -> create_with ?seed ?delay ?faults (Retire_counter.paper_config ~k)
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Retire_local.create: n = %d is not of the form k^(k+1)" n)
+    create_with ?seed ?delay ?faults (Retire_plumbing.config_of_n ~who n)
 
   let net t = t.net
 
