@@ -1,6 +1,6 @@
 (* Tests for the generalised sequential-object machinery: the leftist
    heap, the object specifications, the generic retirement spine (and its
-   equivalence with the hand-written counter), the central strawman (and
+   equivalence with Core.Retire_counter), the central strawman (and
    its equivalence with Baselines.Central), and the stack example of
    docs/EXTENDING.md. *)
 
