@@ -271,12 +271,15 @@ let digest_outcomes outcomes =
           (List.map (Format.asprintf "%a" Counter.Counter_intf.pp_outcome)
              outcomes)))
 
-let run_closed ?faults (module C : Counter.Counter_intf.S) ~n =
+let run_closed ?faults ?(delay = Sim.Delay.Constant 1.0) ?(passes = 1)
+    (module C : Counter.Counter_intf.S) ~n =
   let n = C.supported_n n in
-  let c = C.create ~seed:42 ~delay:(Sim.Delay.Constant 1.0) ?faults ~n () in
+  let c = C.create ~seed:42 ~delay ?faults ~n () in
+  let rng = Sim.Rng.create ~seed:43 in
   let origins =
-    Counter.Schedule.origins Counter.Schedule.Each_once_shuffled
-      (Sim.Rng.create ~seed:43) ~n
+    List.concat
+      (List.init passes (fun _ ->
+           Counter.Schedule.origins Counter.Schedule.Each_once_shuffled rng ~n))
   in
   let outcomes = List.map (fun origin -> C.inc_result c ~origin) origins in
   let m = C.metrics c in
@@ -427,6 +430,100 @@ let test_faulted_goldens () =
           check Alcotest.string (name ^ ": outcomes") outcomes' outcomes)
     [ "retire-ft"; "quorum-majority"; "durable" ]
 
+(* (name, plan, delay, load-vector checksum, outcome digest): the quorum
+   counters' closed loop under drops and crashes, two seed-shuffled
+   each-once passes. Delays of 40, and exponential delays of mean 20, let
+   replies outlive the client's 32-unit first timeout, so these rows pin
+   what a late reply does: it still raises a read's maximum and clears
+   the origin's suspicion of its sender. *)
+let late_reply_goldens =
+  [
+    ( "quorum-majority", "drop:0.1", "constant:1",
+      1940317102970906339, "e1f012b0d6116921fece99618422bb09" );
+    ( "quorum-grid", "drop:0.1", "constant:1",
+      1944498388799593567, "e1f012b0d6116921fece99618422bb09" );
+    ( "quorum-tree", "drop:0.1", "constant:1",
+      789754687161974541, "d540e83973d37da0d51d9043c3236698" );
+    ( "quorum-crumbling-wall", "drop:0.1", "constant:1",
+      1607592074007418545, "529a9f2fcd81f7882ca8a2048c0dd41c" );
+    ( "quorum-projective-plane", "drop:0.1", "constant:1",
+      909736677648356350, "ceccfe32c3217ce1ce9f5e2051a70ecd" );
+    ( "quorum-majority", "crash:3@0/drop:0.1", "exp:1",
+      1477867915440554917, "adbd00f4e7fe93956a3d8906cefeb3a3" );
+    ( "quorum-grid", "crash:3@0/drop:0.1", "exp:1",
+      3978553611813668415, "adbd00f4e7fe93956a3d8906cefeb3a3" );
+    ( "quorum-tree", "crash:3@0/drop:0.1", "exp:1",
+      2431058167038059705, "54dd9530e5d41cba37a6a4a205522ade" );
+    ( "quorum-crumbling-wall", "crash:3@0/drop:0.1", "exp:1",
+      2107139924927077191, "195d284081b871fbd4739e3aaa13e003" );
+    ( "quorum-projective-plane", "crash:3@0/drop:0.1", "exp:1",
+      679018849589592868, "d9395747bbbd9ac897ee349c09f9a1ad" );
+    ( "quorum-majority", "drop:0.1", "constant:40",
+      107491157405993537, "e1f012b0d6116921fece99618422bb09" );
+    ( "quorum-grid", "drop:0.1", "constant:40",
+      2678964625198920679, "e1f012b0d6116921fece99618422bb09" );
+    ( "quorum-tree", "drop:0.1", "constant:40",
+      1405346093688163499, "93aa4264312c8feb39750bcbc0da9e10" );
+    ( "quorum-crumbling-wall", "drop:0.1", "constant:40",
+      3390198933490250599, "384297254c86fb5a37f1cba15ef9f3b6" );
+    ( "quorum-projective-plane", "drop:0.1", "constant:40",
+      204698145516404088, "999a8136acd7e2007ddc619f72c03115" );
+    ( "quorum-majority", "crash:3@0/drop:0.1", "constant:40",
+      3515756070655161709, "adbd00f4e7fe93956a3d8906cefeb3a3" );
+    ( "quorum-grid", "crash:3@0/drop:0.1", "constant:40",
+      3272714710092398805, "adbd00f4e7fe93956a3d8906cefeb3a3" );
+    ( "quorum-tree", "crash:3@0/drop:0.1", "constant:40",
+      2245730574973740367, "54dd9530e5d41cba37a6a4a205522ade" );
+    ( "quorum-crumbling-wall", "crash:3@0/drop:0.1", "constant:40",
+      2386238366766683677, "adbd00f4e7fe93956a3d8906cefeb3a3" );
+    ( "quorum-projective-plane", "crash:3@0/drop:0.1", "constant:40",
+      54625026256486158, "b8e990e8673790e561cb569277c874b6" );
+    ( "quorum-majority", "drop:0.1", "exp:20",
+      1747887632692550473, "e1f012b0d6116921fece99618422bb09" );
+    ( "quorum-grid", "drop:0.1", "exp:20",
+      1316499761490369099, "1420f18f2537b8d0bca0485d6eb167b5" );
+    ( "quorum-tree", "drop:0.1", "exp:20",
+      382700774119604069, "a90543d59d67b04d8d580a4fcb6f3b7a" );
+    ( "quorum-crumbling-wall", "drop:0.1", "exp:20",
+      3292471342933374015, "7572db6873e9a960307224772770d442" );
+    ( "quorum-projective-plane", "drop:0.1", "exp:20",
+      3583061727267968408, "ec89d2a0cab0d03d47e4acdbc5172b44" );
+    ( "quorum-majority", "crash:3@0/drop:0.1", "exp:20",
+      841507753260583251, "adbd00f4e7fe93956a3d8906cefeb3a3" );
+    ( "quorum-grid", "crash:3@0/drop:0.1", "exp:20",
+      1642338917845654841, "02c16017d91cde744321e141a5fa9972" );
+    ( "quorum-tree", "crash:3@0/drop:0.1", "exp:20",
+      2221156255610743945, "073f86ee16d405092accf904fc783881" );
+    ( "quorum-crumbling-wall", "crash:3@0/drop:0.1", "exp:20",
+      2863323419278600929, "201023df7eb5aab917f6b52f73ffe56d" );
+    ( "quorum-projective-plane", "crash:3@0/drop:0.1", "exp:20",
+      2215817605545966940, "165690280ec9e71d95d4620105cabe0a" );
+  ]
+
+let test_late_reply_goldens () =
+  let parse of_string spec =
+    match of_string spec with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "bad spec %s: %s" spec e
+  in
+  List.iter
+    (fun (name, plan, delay, checksum', outcomes') ->
+      let c =
+        match Baselines.Registry.find name with
+        | Some c -> c
+        | None -> Alcotest.failf "no counter %s" name
+      in
+      let checksum, _, outcomes =
+        run_closed
+          ~faults:(parse Sim.Fault.of_string plan)
+          ~delay:(parse Sim.Delay.of_string delay)
+          ~passes:2 c ~n:64
+      in
+      let row = String.concat " " [ name; plan; delay ] in
+      check Alcotest.int (row ^ ": checksum") checksum' checksum;
+      check Alcotest.string (row ^ ": outcomes") outcomes' outcomes)
+    late_reply_goldens
+
 let () =
   Alcotest.run "determinism"
     [
@@ -461,5 +558,7 @@ let () =
           Alcotest.test_case "open load vectors" `Quick test_open_goldens;
           Alcotest.test_case "faulted load vectors" `Quick
             test_faulted_goldens;
+          Alcotest.test_case "late quorum replies" `Quick
+            test_late_reply_goldens;
         ] );
     ]
