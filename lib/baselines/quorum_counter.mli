@@ -47,14 +47,23 @@
 
 module Make (_ : Quorum.Quorum_intf.S) : sig
   include Counter.Counter_intf.CONCURRENT
-  (** The open-loop path gives every in-flight operation its own client
-      record, matched to replies by round stamp. {b Semantics caveat}:
-      read-max/write-back is not an atomic fetch-and-increment — two
-      overlapping operations can read the same maximum and return the
-      same value, so under genuine overlap a quorum counter is neither
-      linearizable nor quiescently consistent ([dcount load] reports the
-      duplicate values honestly). Sequential dispatch, where the paper's
-      model lives, is unaffected. *)
+  (** Every operation — closed-loop, batch member or open-loop — runs on
+      its own client record, matched to replies by round stamp, so the
+      closed and the open loop are one client. Every round an operation
+      used keeps resolving to it until it completes or gives up: a late
+      read reply still raises the read's maximum, and a late reply to
+      the operation's current phase still clears the origin's suspicion
+      of its sender, but only answers to the current round count toward
+      the quorum. Under a fault plan, an operation at a crashed origin
+      still sends (the network suppresses the sends), then times out and
+      gives up.
+
+      {b Semantics caveat}: read-max/write-back is not an atomic
+      fetch-and-increment — two overlapping operations can read the same
+      maximum and return the same value, so under genuine overlap a
+      quorum counter is neither linearizable nor quiescently consistent
+      ([dcount load] reports the duplicate values honestly). Sequential
+      dispatch, where the paper's model lives, is unaffected. *)
 
   val quorum_size : t -> int
 

@@ -311,59 +311,84 @@ let test_every_concurrent_counter_completes () =
     Baselines.Registry.concurrent_all
 
 (* Closed loop vs open loop, pinned together for every counter: the same
-   origins run once with [inc_result] and once as open-loop arrivals 1000
-   time units apart, so no two operations overlap. Both runs must return
-   the same values in op order and the same per-processor load vector —
-   for the quorum counters this pins the sequential client to the
-   open-loop one. *)
+   origins run once with [inc_result] and once as open-loop arrivals far
+   enough apart that no two operations overlap. Both runs must return the
+   same outcomes in op order (a closed op that stalls is an open op that
+   never completes) and the same per-processor load vector — for the
+   quorum counters this pins closed-loop operations to open-loop ones on
+   the one client. The faulted input crashes p3 from the start and drops
+   messages under delays longer than the quorum client's first timeout,
+   so late replies arrive. A retry chain lasts at most 32 (2^8 - 1) =
+   8 160 time units plus its delays, hence arrivals 100 000 apart. *)
 let every_counter =
   Baselines.Registry.all
   @ (Baselines.Registry.sync_count :: Baselines.Registry.broken)
 
+let differential_inputs =
+  [
+    (None, Sim.Delay.Constant 1.0, 1_000.);
+    ( (match Sim.Fault.of_string "crash:3@0/drop:0.1" with
+      | Ok f -> Some f
+      | Error e -> failwith e),
+      Sim.Delay.Constant 40.0,
+      100_000. );
+  ]
+
 let test_closed_open_differential () =
   List.iter
-    (fun (module S : Counter.Counter_intf.S) ->
-      let (module C : Counter.Counter_intf.CONCURRENT) =
-        match Baselines.Registry.find_concurrent S.name with
-        | Some c -> c
-        | None -> Alcotest.failf "%s: no open-loop view" S.name
-      in
-      let n = C.supported_n 16 in
-      let origins =
-        Counter.Schedule.origins (Counter.Schedule.Random 40)
-          (Sim.Rng.create ~seed:43) ~n
-      in
-      let fresh () = C.create ~seed:42 ~delay:(Sim.Delay.Constant 1.0) ~n () in
-      let closed = fresh () in
-      let closed_values =
-        List.map
-          (fun origin ->
-            match C.inc_result closed ~origin with
-            | Counter.Counter_intf.Completed v -> v
-            | Counter.Counter_intf.Stalled r ->
-                Alcotest.failf "%s: closed op stalled: %s" C.name r)
-          origins
-      in
-      let opened = fresh () in
-      List.iteri
-        (fun op origin ->
-          C.launch_at opened ~op ~origin ~at:(1000. *. float_of_int (op + 1)))
-        origins;
-      C.run_open opened;
-      let open_values =
-        List.map
-          (fun (_, v, _) -> v)
-          (List.sort
-             (fun (a, _, _) (b, _, _) -> Int.compare a b)
-             (C.completions opened))
-      in
-      check Alcotest.(list int) (C.name ^ ": values") closed_values open_values;
-      check
-        Alcotest.(array int)
-        (C.name ^ ": load vector")
-        (Sim.Metrics.load_array (C.metrics closed))
-        (Sim.Metrics.load_array (C.metrics opened)))
-    every_counter
+    (fun (faults, delay, spacing) ->
+      List.iter
+        (fun (module S : Counter.Counter_intf.S) ->
+          let (module C : Counter.Counter_intf.CONCURRENT) =
+            match Baselines.Registry.find_concurrent S.name with
+            | Some c -> c
+            | None -> Alcotest.failf "%s: no open-loop view" S.name
+          in
+          let n = C.supported_n 16 in
+          let origins =
+            Counter.Schedule.origins (Counter.Schedule.Random 40)
+              (Sim.Rng.create ~seed:43) ~n
+          in
+          let fresh () = C.create ~seed:42 ~delay ?faults ~n () in
+          let name =
+            Format.asprintf "%s under %a" C.name Sim.Delay.pp delay
+          in
+          let closed = fresh () in
+          let closed_values =
+            List.map
+              (fun origin ->
+                Counter.Counter_intf.outcome_value (C.inc_result closed ~origin))
+              origins
+          in
+          if Option.is_none faults then
+            check Alcotest.bool (name ^ ": no closed op stalls") true
+              (List.for_all Option.is_some closed_values);
+          let opened = fresh () in
+          List.iteri
+            (fun op origin ->
+              C.launch_at opened ~op ~origin
+                ~at:(spacing *. float_of_int (op + 1)))
+            origins;
+          C.run_open opened;
+          let completions = C.completions opened in
+          let open_values =
+            List.mapi
+              (fun op _ ->
+                List.find_map
+                  (fun (op', v, _) -> if op' = op then Some v else None)
+                  completions)
+              origins
+          in
+          check
+            Alcotest.(list (option int))
+            (name ^ ": values") closed_values open_values;
+          check
+            Alcotest.(array int)
+            (name ^ ": load vector")
+            (Sim.Metrics.load_array (C.metrics closed))
+            (Sim.Metrics.load_array (C.metrics opened)))
+        every_counter)
+    differential_inputs
 
 let test_latency_percentiles_ordered () =
   let r =
