@@ -100,15 +100,17 @@ module Protocol = struct
 
   let rec handle t ~reply ~self ~src:_ = function
     | Down { op; value; _ } -> reply ~op value
-    | Grant { node; base; batch } ->
+    | Grant { node; base; batch } -> (
         let nd = t.nodes.(node) in
-        let entries =
-          match Hashtbl.find_opt nd.batches batch with
-          | Some b -> b
-          | None -> failwith "Combining_tree: grant without pending batch"
-        in
-        Hashtbl.remove nd.batches batch;
-        descend t ~self ~node ~batch:entries ~base
+        match Hashtbl.find_opt nd.batches batch with
+        | Some entries ->
+            Hashtbl.remove nd.batches batch;
+            descend t ~self ~node ~batch:entries ~base
+        | None when not (Sim.Fault.is_none (Sim.Network.faults t.net)) ->
+            (* A duplicated grant, or the grant of a duplicated request:
+               the batch was already served. *)
+            ()
+        | None -> failwith "Combining_tree: grant without pending batch")
     | Up { node; side; count; op; batch } -> (
         let nd = t.nodes.(node) in
         match nd.collecting with

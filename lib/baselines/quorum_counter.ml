@@ -265,7 +265,8 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
        finished altogether: a straggler under a fault plan, a bug
        without one. *)
     let unmatched t what =
-      if not t.failure_aware then failwith ("Quorum_counter: unexpected " ^ what)
+      if not t.failure_aware then
+        failwith ("Quorum_counter: unexpected " ^ what)
 
     let handle t ~reply ~self ~src = function
       | Read_req { round } ->

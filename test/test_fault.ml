@@ -573,6 +573,64 @@ let test_fault_run_reproducible () =
   check Alcotest.(list string) "outcomes agree" o1 o2;
   check Alcotest.int "checksums agree" c1 c2
 
+(* Duplication faults: every counter, closed and open loop, must come
+   back with typed outcomes only — no Failure, no Invalid_argument from a
+   duplicated grant or handoff piece. 3n ops from origins 1 + 7i mod n;
+   the open-loop arrivals are one time unit apart, so they overlap. *)
+let every_counter =
+  Baselines.Registry.all
+  @ (Baselines.Registry.sync_count :: Baselines.Registry.broken)
+
+let test_duplication_typed_outcomes () =
+  let faults = plan "dup:0.05" in
+  List.iter
+    (fun (module S : Counter.Counter_intf.S) ->
+      let (module C : Counter.Counter_intf.CONCURRENT) =
+        match Baselines.Registry.find_concurrent S.name with
+        | Some c -> c
+        | None -> Alcotest.failf "%s: no open-loop view" S.name
+      in
+      let n =
+        C.supported_n
+          (if C.name = "sync-count" || C.name = "sync-no-threshold" then 7
+           else 16)
+      in
+      let ops = 3 * n in
+      let origins = List.init ops (fun i -> 1 + (7 * i mod n)) in
+      List.iter
+        (fun delay ->
+          for seed = 1 to 3 do
+            let run =
+              Format.asprintf "%s seed %d %a" C.name seed Sim.Delay.pp delay
+            in
+            let closed = C.create ~seed ~delay ~faults ~n () in
+            List.iter
+              (fun origin ->
+                match C.inc_result closed ~origin with
+                | Counter.Counter_intf.Completed _ | Stalled _ -> ()
+                | exception e ->
+                    Alcotest.failf "%s closed: %s" run (Printexc.to_string e))
+              origins;
+            let opened = C.create ~seed ~delay ~faults ~n () in
+            match
+              List.iteri
+                (fun op origin ->
+                  C.launch_at opened ~op ~origin ~at:(float_of_int op))
+                origins;
+              C.run_open opened
+            with
+            | () ->
+                List.iter
+                  (fun (op, _, _) ->
+                    if op < 0 || op >= ops then
+                      Alcotest.failf "%s open: unknown op %d" run op)
+                  (C.completions opened)
+            | exception e ->
+                Alcotest.failf "%s open: %s" run (Printexc.to_string e)
+          done)
+        [ Sim.Delay.Constant 1.0; Sim.Delay.Exponential 1.0 ])
+    every_counter
+
 let () =
   Alcotest.run "fault"
     [
@@ -627,5 +685,7 @@ let () =
             test_driver_tallies_stalls;
           Alcotest.test_case "fault runs reproducible" `Quick
             test_fault_run_reproducible;
+          Alcotest.test_case "duplication gives typed outcomes" `Quick
+            test_duplication_typed_outcomes;
         ] );
     ]
