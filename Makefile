@@ -41,8 +41,9 @@ test-chaos:
 # Model-checking smoke (docs/MODELCHECK.md): exhaustively verify the
 # central and retirement counters over every delivery interleaving at
 # small scale, prove the broken negative controls still violate, and
-# replay the stored counterexamples — regenerating each must reproduce
-# its test/data/*.mcs byte for byte. The retire-ft crash-adversary rows
+# replay the stored counterexamples — regenerating each, into a private
+# temporary directory removed afterwards, must reproduce its
+# test/data/*.mcs byte for byte. The retire-ft crash-adversary rows
 # are depth-bounded (--max-depth + --allow-incomplete): the failure-aware
 # audit's timer interleavings make the full space intractable, so the
 # sweep asserts no-duplicate/linearizability/Hot-Spot over every
@@ -55,17 +56,18 @@ test-mc:
 	dune exec bin/dcount.exe -- mc -c retire-ft -n 8 -s explicit:2,5 --faults crash:1@99 --max-depth 6 --allow-incomplete
 	dune exec bin/dcount.exe -- mc -c retire-ft -n 8 -s explicit:2,5 --faults crash:5@99 --max-depth 6 --allow-incomplete
 	dune exec bin/dcount.exe -- mc -c amnesiac -n 4 --expect-violation
-	dune exec bin/dcount.exe -- mc -c race-reply -n 3 --expect-violation --counterexample-out /tmp/race_reply_n3.mcs
-	cmp /tmp/race_reply_n3.mcs test/data/race_reply_n3.mcs
-	dune exec bin/dcount.exe -- mc --replay test/data/race_reply_n3.mcs
-	dune exec bin/dcount.exe -- mc -c ft-no-handoff -n 8 -s explicit:2,5 --faults crash:1@99 --max-depth 6 --expect-violation --counterexample-out /tmp/ft_no_handoff_n8.mcs
-	cmp /tmp/ft_no_handoff_n8.mcs test/data/ft_no_handoff_n8.mcs
-	dune exec bin/dcount.exe -- mc --replay test/data/ft_no_handoff_n8.mcs
-	dune exec bin/dcount.exe -- mc -c durable-no-cas -n 2 -s explicit:2 --faults crash:1@99/recover:1@120 --max-depth 10 --max-states 300000 --expect-violation --counterexample-out /tmp/durable_no_cas_n2.mcs
-	cmp /tmp/durable_no_cas_n2.mcs test/data/durable_no_cas_n2.mcs
-	dune exec bin/dcount.exe -- mc --replay test/data/durable_no_cas_n2.mcs
-	dune exec bin/dcount.exe -- mc -c sync-no-threshold -n 4 -s explicit:1 --faults byz:2@99/byzval:2:off-by-1/byzeq:2 --max-depth 100 --expect-violation --property agreement-violated --counterexample-out /tmp/sync_no_threshold_n4.mcs
-	cmp /tmp/sync_no_threshold_n4.mcs test/data/sync_no_threshold_n4.mcs
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	dune exec bin/dcount.exe -- mc -c race-reply -n 3 --expect-violation --counterexample-out "$$tmp/race_reply_n3.mcs" && \
+	cmp "$$tmp/race_reply_n3.mcs" test/data/race_reply_n3.mcs && \
+	dune exec bin/dcount.exe -- mc --replay test/data/race_reply_n3.mcs && \
+	dune exec bin/dcount.exe -- mc -c ft-no-handoff -n 8 -s explicit:2,5 --faults crash:1@99 --max-depth 6 --expect-violation --counterexample-out "$$tmp/ft_no_handoff_n8.mcs" && \
+	cmp "$$tmp/ft_no_handoff_n8.mcs" test/data/ft_no_handoff_n8.mcs && \
+	dune exec bin/dcount.exe -- mc --replay test/data/ft_no_handoff_n8.mcs && \
+	dune exec bin/dcount.exe -- mc -c durable-no-cas -n 2 -s explicit:2 --faults crash:1@99/recover:1@120 --max-depth 10 --max-states 300000 --expect-violation --counterexample-out "$$tmp/durable_no_cas_n2.mcs" && \
+	cmp "$$tmp/durable_no_cas_n2.mcs" test/data/durable_no_cas_n2.mcs && \
+	dune exec bin/dcount.exe -- mc --replay test/data/durable_no_cas_n2.mcs && \
+	dune exec bin/dcount.exe -- mc -c sync-no-threshold -n 4 -s explicit:1 --faults byz:2@99/byzval:2:off-by-1/byzeq:2 --max-depth 100 --expect-violation --property agreement-violated --counterexample-out "$$tmp/sync_no_threshold_n4.mcs" && \
+	cmp "$$tmp/sync_no_threshold_n4.mcs" test/data/sync_no_threshold_n4.mcs && \
 	dune exec bin/dcount.exe -- mc --replay test/data/sync_no_threshold_n4.mcs
 
 # Byzantine gate (docs/FAULTS.md): the adversarial test battery, then
@@ -93,8 +95,9 @@ test-durable:
 	dune exec bin/dcount.exe -- chaos --durable -n 4 --ops 40 --crashes 0,1,2,3 --drops 0,0.1 --recover --check
 	dune exec bin/dcount.exe -- mc -c durable -n 2 -s explicit:2,2,2
 	dune exec bin/dcount.exe -- mc -c durable -n 2 -s explicit:2,2 --faults crash:1@99/recover:1@120 --progress --max-depth 12 --max-states 20000 --allow-incomplete
-	dune exec bin/dcount.exe -- mc -c durable-no-cas -n 2 -s explicit:2 --faults crash:1@99/recover:1@120 --max-depth 10 --max-states 300000 --expect-violation --counterexample-out /tmp/durable_no_cas_n2.mcs
-	cmp /tmp/durable_no_cas_n2.mcs test/data/durable_no_cas_n2.mcs
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	dune exec bin/dcount.exe -- mc -c durable-no-cas -n 2 -s explicit:2 --faults crash:1@99/recover:1@120 --max-depth 10 --max-states 300000 --expect-violation --counterexample-out "$$tmp/durable_no_cas_n2.mcs" && \
+	cmp "$$tmp/durable_no_cas_n2.mcs" test/data/durable_no_cas_n2.mcs && \
 	dune exec bin/dcount.exe -- mc --replay test/data/durable_no_cas_n2.mcs
 
 # Open-loop load gate (docs/LOAD.md): the generator/checker unit+property

@@ -4,8 +4,6 @@
 
 let dcount = Filename.concat ".." (Filename.concat "bin" "dcount.exe")
 
-let tmp = Filename.get_temp_dir_name ()
-
 let run ?(quiet = true) args =
   let silence = if quiet then " >/dev/null 2>/dev/null" else "" in
   Sys.command (Filename.quote dcount ^ " " ^ args ^ silence)
@@ -42,7 +40,7 @@ let test_mc_replay_stored () =
 
 let test_mc_replay_bad_file () =
   check_exit "missing file = exit 2" 2 "mc --replay data/no_such_file.mcs";
-  let bad = Filename.concat tmp "dcount_cli_bad.mcs" in
+  let bad = Filename.temp_file "dcount_cli_bad" ".mcs" in
   Out_channel.with_open_text bad (fun oc ->
       Out_channel.output_string oc "counter=central\nnot a field\n");
   Fun.protect
@@ -52,7 +50,7 @@ let test_mc_replay_bad_file () =
         ("mc --replay " ^ Filename.quote bad))
 
 let test_mc_counterexample_round_trip () =
-  let out = Filename.concat tmp "dcount_cli_cx.mcs" in
+  let out = Filename.temp_file "dcount_cli_cx" ".mcs" in
   (try Sys.remove out with Sys_error _ -> ());
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
@@ -110,7 +108,7 @@ let test_mc_retire_ft () =
      --max-depth 4 --max-states 2000 --allow-incomplete"
 
 let test_mc_ft_no_handoff_stored () =
-  let out = Filename.concat tmp "dcount_cli_ft_cx.mcs" in
+  let out = Filename.temp_file "dcount_cli_ft_cx" ".mcs" in
   (try Sys.remove out with Sys_error _ -> ());
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
@@ -141,7 +139,7 @@ let test_mc_durable_no_cas_stored () =
   (* Regenerate the durable negative control with the hunt parameters
      the Makefile uses and compare byte-for-byte against the stored
      file — the CAS-is-load-bearing witness. *)
-  let out = Filename.concat tmp "dcount_cli_durable_cx.mcs" in
+  let out = Filename.temp_file "dcount_cli_durable_cx" ".mcs" in
   (try Sys.remove out with Sys_error _ -> ());
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
@@ -193,7 +191,7 @@ let test_mc_sync_no_threshold_stored () =
   (* Regenerate the Byzantine negative control with the Makefile's hunt
      parameters and compare byte-for-byte against the stored file — the
      round-3-threshold-is-load-bearing witness. *)
-  let out = Filename.concat tmp "dcount_cli_sync_cx.mcs" in
+  let out = Filename.temp_file "dcount_cli_sync_cx" ".mcs" in
   (try Sys.remove out with Sys_error _ -> ());
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
@@ -229,7 +227,7 @@ let test_chaos_recover () =
     "chaos -c retire-ft -n 8 --crashes 0,2 --recover --check";
   (* --recover output contract: rows report emergency retirements and
      actual revivals; the header echoes the flag. *)
-  let out = Filename.concat tmp "dcount_cli_chaos_rec.txt" in
+  let out = Filename.temp_file "dcount_cli_chaos_rec" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
@@ -255,7 +253,7 @@ let test_chaos_durable () =
      sweep's recovered=; --check asserts zero lost increments. Three
      victims at n = 4 guarantee the writer (p1) is among them, so at
      least one row actually replays. *)
-  let out = Filename.concat tmp "dcount_cli_chaos_durable.txt" in
+  let out = Filename.temp_file "dcount_cli_chaos_durable" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
@@ -301,7 +299,7 @@ let test_chaos_byz_usage_errors () =
   check_exit "--byz --durable = exit 2" 2 "chaos --byz --durable -n 4"
 
 let test_chaos_byz_output_shape () =
-  let out = Filename.concat tmp "dcount_cli_chaos_byz.txt" in
+  let out = Filename.temp_file "dcount_cli_chaos_byz" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
@@ -329,7 +327,7 @@ let test_chaos_byz_output_shape () =
 let test_chaos_output_shape () =
   (* Smoke the stdout contract the docs quote: the check line and the
      baseline header must be present. *)
-  let out = Filename.concat tmp "dcount_cli_chaos.txt" in
+  let out = Filename.temp_file "dcount_cli_chaos" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
@@ -413,7 +411,7 @@ let test_lint_rule_selection () =
     ("lint --rules determinism " ^ fixture "r1_bad.ml")
 
 let test_lint_json_format () =
-  let out = Filename.concat tmp "dcount_cli_lint.json" in
+  let out = Filename.temp_file "dcount_cli_lint" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
@@ -457,43 +455,45 @@ let test_usage_errors_exit_2 () =
 (* Values the parsers accept but the run cannot honour are usage errors
    too, not uncaught exceptions (exit 125). *)
 let test_out_of_range_exit_2 () =
-  let nowhere file =
-    Filename.quote
-      (Filename.concat (Filename.concat tmp "dcount_cli_no_such_dir") file)
-  in
-  List.iter
-    (fun args -> check_exit (args ^ " = exit 2") 2 args)
-    [
-      "run -c retire-tree -n 8 -s round-robin:-1";
-      "run -c retire-tree -n 8 -s random:-2";
-      "run -c retire-tree -n 8 -s explicit:0";
-      "run -c retire-tree -n 8 -s explicit:9";
-      "mc -c central -n 3 -s explicit:7";
-      "mc -c central -n 3 --faults dup:0.1";
-      "mc -c central -n 3 --faults drop:1,2:0.5";
-      "mc -c central -n 3 --faults part:1-2@1,5";
-      "mc -c central -n 3 --faults sdrop:0.1";
-      "mc -c central -n 3 --faults crash:9@1";
-      "mc -c central -n 3 --faults byz:9@1";
-      "mc --all -n 3 --faults drop:0.1";
-      "mc --all -n 3 --faults crash:9@1";
-      "mc -c central -n 3 --max-states=-5";
-      "mc -c central -n 3 --max-depth=-1";
-      "chaos -c retire-tree -n 8 --drops 1.5";
-      "chaos -c retire-tree -n 8 --dup 1.5";
-      "chaos -c retire-tree -n 8 --drops=-0.1";
-      "run -c central -n 4 --delay constant:-1";
-      "run -c central -n 4 --delay constant:inf";
-      "run -c central -n 4 --delay jitter:-2";
-      "bound --sizes=0";
-      "dot -c central -n 4 --op=-1";
-      "dot -c central -n 4 -o " ^ nowhere "x.dot";
-      "compare --sizes=4 --csv=" ^ nowhere "x.csv";
-      "mc -c race-reply -n 3 --expect-violation --counterexample-out "
-      ^ nowhere "x.mcs";
-    ];
+  (* Output paths under a plain file: no write can succeed there. *)
+  let not_a_dir = Filename.temp_file "dcount_cli_not_a_dir" "" in
+  let nowhere file = Filename.quote (Filename.concat not_a_dir file) in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove not_a_dir)
+    (fun () ->
+      List.iter
+        (fun args -> check_exit (args ^ " = exit 2") 2 args)
+        [
+          "run -c retire-tree -n 8 -s round-robin:-1";
+          "run -c retire-tree -n 8 -s random:-2";
+          "run -c retire-tree -n 8 -s explicit:0";
+          "run -c retire-tree -n 8 -s explicit:9";
+          "mc -c central -n 3 -s explicit:7";
+          "mc -c central -n 3 --faults dup:0.1";
+          "mc -c central -n 3 --faults drop:1,2:0.5";
+          "mc -c central -n 3 --faults part:1-2@1,5";
+          "mc -c central -n 3 --faults sdrop:0.1";
+          "mc -c central -n 3 --faults crash:9@1";
+          "mc -c central -n 3 --faults byz:9@1";
+          "mc --all -n 3 --faults drop:0.1";
+          "mc --all -n 3 --faults crash:9@1";
+          "mc -c central -n 3 --max-states=-5";
+          "mc -c central -n 3 --max-depth=-1";
+          "chaos -c retire-tree -n 8 --drops 1.5";
+          "chaos -c retire-tree -n 8 --dup 1.5";
+          "chaos -c retire-tree -n 8 --drops=-0.1";
+          "run -c central -n 4 --delay constant:-1";
+          "run -c central -n 4 --delay constant:inf";
+          "run -c central -n 4 --delay jitter:-2";
+          "bound --sizes=0";
+          "dot -c central -n 4 --op=-1";
+          "dot -c central -n 4 -o " ^ nowhere "x.dot";
+          "compare --sizes=4 --csv=" ^ nowhere "x.csv";
+          "mc -c race-reply -n 3 --expect-violation --counterexample-out "
+          ^ nowhere "x.mcs";
+        ]);
   (* A counterexample file whose plan the explorer cannot check. *)
-  let bad = Filename.concat tmp "dcount_cli_plan.mcs" in
+  let bad = Filename.temp_file "dcount_cli_plan" ".mcs" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove bad with Sys_error _ -> ())
     (fun () ->
