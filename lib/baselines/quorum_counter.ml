@@ -286,15 +286,15 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
                 op.value <- value
               end;
               if answered op ~round ~src then finish_read t ~reply op
-          | { phase = Writing; _ } -> unmatched t "read reply"
-          | exception Not_found -> unmatched t "read reply")
+          | { phase = Writing; _ } | (exception Not_found) ->
+              unmatched t "read reply")
       | Write_ack { round } -> (
           match Hashtbl.find t.live round with
           | { phase = Writing; _ } as op ->
               if t.failure_aware then unsuspect t op.origin src;
               if answered op ~round ~src then complete t ~reply op
-          | { phase = Reading; _ } -> unmatched t "write ack"
-          | exception Not_found -> unmatched t "write ack")
+          | { phase = Reading; _ } | (exception Not_found) ->
+              unmatched t "write ack")
 
     (* ---------------------------------------------------------------- *)
     (* Construction and the counter interface                            *)
