@@ -382,6 +382,10 @@ let test_closed_open_differential () =
           check
             Alcotest.(list (option int))
             (name ^ ": values") closed_values open_values;
+          check Alcotest.int
+            (name ^ ": one completion per completed op")
+            (List.length (List.filter Option.is_some open_values))
+            (List.length completions);
           check
             Alcotest.(array int)
             (name ^ ": load vector")
