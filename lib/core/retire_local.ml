@@ -28,13 +28,13 @@ module Protocol = struct
     mutable counter_value : int;  (* meaningful at the root only *)
   }
 
-  (* A role being assembled from the predecessor's handoff pieces.
-     [pieces] has bit [slot] set once that child's id arrived, and bit
-     [arity] once the parent id (the counter value at the root) did, so a
-     duplicated piece is received once. *)
+  (* A role being assembled from the predecessor's handoff pieces. Worker
+     ids start at 1 and [p_value] at -1, so a field still at its initial
+     value has not been received. *)
   type pending = {
     p_node : int;
-    mutable pieces : int;
+    pieces_needed : int;
+    mutable pieces_received : int;
     mutable p_parent : int;
     p_children : int array;
     mutable p_value : int;
@@ -121,7 +121,21 @@ module Protocol = struct
   let interval_hi t flat =
     if flat = Tree.root then Tree.n t.tree else snd (Ids.interval_of_flat t.tree flat)
 
-  let all_pieces t = (1 lsl (t.cfg.Retire_counter.arity + 1)) - 1
+  let pieces_needed t = t.cfg.Retire_counter.arity + 1
+
+  (* Whether [proc] already has [piece] of [node]'s handoff, or the whole
+     role: only a duplicated message brings a piece twice. *)
+  let already_received proc node piece =
+    List.exists (fun r -> r.node = node) proc.roles
+    || List.mem_assoc node proc.handed_over
+    ||
+    match List.find_opt (fun p -> p.p_node = node) proc.pending with
+    | None -> false
+    | Some p -> (
+        match piece with
+        | Parent_id _ -> p.p_parent <> 0
+        | Child_id (slot, _) -> p.p_children.(slot) <> 0
+        | Counter_value _ -> p.p_value >= 0)
 
   (* [Value] reaches the op's origin leaf, which names the op (one op at a
      time). *)
@@ -136,28 +150,18 @@ module Protocol = struct
         assert (leaf = proc.pid);
         proc.leaf_parent_worker <- worker
     | New_worker { dest = To_node node; _ } -> route t proc ~node payload
-    | Handoff { node; _ }
+    | Handoff { node; piece }
       when (not (Sim.Fault.is_none (Sim.Network.faults t.net)))
-           && (List.exists (fun r -> r.node = node) proc.roles
-              || List.mem_assoc node proc.handed_over) ->
-        (* A duplicated piece of a role this processor already assembled. *)
+           && already_received proc node piece ->
         ()
     | Handoff { node; piece } -> (
         let pending = get_pending t proc node in
-        let bit =
-          match piece with
-          | Parent_id p ->
-              pending.p_parent <- p;
-              t.cfg.Retire_counter.arity
-          | Child_id (slot, w) ->
-              pending.p_children.(slot) <- w;
-              slot
-          | Counter_value v ->
-              pending.p_value <- v;
-              t.cfg.Retire_counter.arity
-        in
-        pending.pieces <- pending.pieces lor (1 lsl bit);
-        if pending.pieces = all_pieces t then begin
+        (match piece with
+        | Parent_id p -> pending.p_parent <- p
+        | Child_id (slot, w) -> pending.p_children.(slot) <- w
+        | Counter_value v -> pending.p_value <- v);
+        pending.pieces_received <- pending.pieces_received + 1;
+        if pending.pieces_received = pending.pieces_needed then begin
           (* Role assembled: activate and replay anything that arrived
              early. *)
           proc.pending <- List.filter (fun p -> p.p_node <> node) proc.pending;
@@ -201,10 +205,11 @@ module Protocol = struct
         let p =
           {
             p_node = node;
-            pieces = 0;
+            pieces_needed = pieces_needed t;
+            pieces_received = 0;
             p_parent = 0;
             p_children = Array.make t.cfg.Retire_counter.arity 0;
-            p_value = 0;
+            p_value = -1;
             buffered_rev = [];
           }
         in
