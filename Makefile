@@ -91,8 +91,8 @@ test-byz:
 # durable-no-cas counterexample regenerates byte-for-byte — the witness
 # that the manifest CAS is load-bearing.
 test-durable:
-	dune exec bin/dcount.exe -- chaos --durable -n 4 --ops 40 --crashes 0,1,2,3 --recover --check
-	dune exec bin/dcount.exe -- chaos --durable -n 4 --ops 40 --crashes 0,1,2,3 --drops 0,0.1 --recover --check
+	dune exec bin/dcount.exe -- chaos -c durable -n 4 --ops 40 --crashes 0,1,2,3 --recover --check
+	dune exec bin/dcount.exe -- chaos -c durable -n 4 --ops 40 --crashes 0,1,2,3 --drops 0,0.1 --recover --check
 	dune exec bin/dcount.exe -- mc -c durable -n 2 -s explicit:2,2,2
 	dune exec bin/dcount.exe -- mc -c durable -n 2 -s explicit:2,2 --faults crash:1@99/recover:1@120 --progress --max-depth 12 --max-states 20000 --allow-incomplete
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

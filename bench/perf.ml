@@ -425,22 +425,6 @@ let load_section ~smoke =
    plan; the schedule is fault-oblivious, so the message count must not
    move — only the corruption counters — and the section asserts that. *)
 
-let byz_king_plan ~n =
-  let f = (n - 1) / 3 in
-  let rules =
-    [| Sim.Fault.Off_by 7; Sim.Fault.Max_int; Sim.Fault.Replay_stale |]
-  in
-  let victims = List.init f (fun i -> f + 1 - i) in
-  {
-    Sim.Fault.none with
-    Sim.Fault.byz =
-      List.map
-        (fun p -> { Sim.Fault.processor = p; trigger = Sim.Fault.At 0. })
-        victims;
-    byz_rules = List.mapi (fun i p -> (p, rules.(i mod 3))) victims;
-    byz_equiv = List.filteri (fun i _ -> i mod 2 = 0) victims;
-  }
-
 let bench_byz_counter (module C : Counter.Counter_intf.S) ?faults ~n ~ops ()
     =
   let best_t = ref infinity
@@ -508,7 +492,10 @@ let byz_section ~smoke =
   let qm, qm_mpo, _ = row (module Qm) "quorum-majority" in
   let n = Core.Sync_counter.supported_n requested in
   let faulted, faulted_mpo, corruptions =
-    row (module Core.Sync_counter) ~faults:(byz_king_plan ~n) "sync-count+byz"
+    row
+      (module Core.Sync_counter)
+      ~faults:(Core.Sync_counter.king_plan ~n ~b:((n - 1) / 3))
+      "sync-count+byz"
   in
   if faulted_mpo <> sync_mpo then
     failwith "byz bench: corruption changed the message count";

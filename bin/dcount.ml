@@ -414,344 +414,63 @@ let load_cmd =
 (* chaos *)
 
 let chaos_cmd =
-  let contains ~sub s =
-    let ls = String.length s and lsub = String.length sub in
-    let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
-    go 0
-  in
-  (* Byzantine sweep: rows are turned-processor counts b; victims are
-     the kings, LAST king first — the strongest seats the adversary can
-     hold, since the final phase's king has the last word on every
-     replica's value. Rules cycle off-by-7 / max-int / replay-stale and
-     every second victim equivocates. Only the phase-king counters
-     install the corruption hook, so --byz rejects everything else.
-     --check asserts the f < n/3 contract: sync-count completes every
-     operation with zero agreement stalls at b <= f, while the
-     sync-no-threshold control must show an agreement violation on
-     every row with b >= 1 (its equivocating last king splits the
-     replicas deterministically). *)
-  let run_byz counter n seed delay byz_counts ops check =
-    let (module C : Counter.Counter_intf.S) = counter in
-    if not (List.mem C.name byz_capable) then begin
-      Format.eprintf
-        "dcount chaos: --byz sweeps need a corruption-hooked counter \
-         (%s); %s has none@."
-        (String.concat ", " byz_capable)
-        C.name;
-      exit 2
-    end;
-    let n = C.supported_n n in
-    let f = (n - 1) / 3 in
-    let ops = if ops <= 0 then 2 * n else ops in
-    let run_ops c =
-      let completed = ref 0 and stalled = ref 0 and agree = ref 0 in
-      let last_stall = ref "" in
-      let origin = ref 0 in
-      for _ = 1 to ops do
+  (* One operation round: round-robin over the origins, skipping origins
+     already crashed when their turn comes (a dead client cannot issue a
+     request). Each attempted operation comes back with whether its
+     origin was still alive when it ended: an origin crashing
+     mid-operation can never see its own answer. *)
+  let run_ops (type c) (module C : Counter.Counter_intf.S with type t = c)
+      (c : c) ~n ~ops =
+    let origin = ref 0 and outcomes = ref [] in
+    for _ = 1 to ops do
+      let rec advance tries =
         origin := (!origin mod n) + 1;
-        match C.inc_result c ~origin:!origin with
-        | Counter.Counter_intf.Completed _ -> incr completed
-        | Counter.Counter_intf.Stalled reason ->
-            incr stalled;
-            if contains ~sub:"agreement" reason then incr agree;
-            last_stall := reason
-      done;
-      (!completed, !stalled, !agree, !last_stall)
-    in
-    let baseline = C.create ~seed ?delay ~n () in
-    let _ = run_ops baseline in
-    let base_metrics = C.metrics baseline in
-    let base_total = Sim.Metrics.total_messages base_metrics in
-    let base_bproc, base_bload = Sim.Metrics.bottleneck base_metrics in
-    let base_per_op = float_of_int base_total /. float_of_int (max 1 ops) in
-    Format.printf
-      "chaos sweep (byzantine): counter=%s n=%d f=%d ops=%d seed=%d@.\
-       baseline: %d msgs (%.1f/op), bottleneck p%d(%d)@.@."
-      C.name n f ops seed base_total base_per_op base_bproc base_bload;
-    Format.printf "%4s %6s  %-11s %7s  %8s %8s  %-12s %s@." "byz" "vs f"
-      "done/req" "stalled" "msgs/op" "load+%" "bottleneck" "notes";
-    let rules =
-      [| Sim.Fault.Off_by 7; Sim.Fault.Max_int; Sim.Fault.Replay_stale |]
-    in
-    let victims b =
-      (* The kings are processors 1 .. f+1 (phase p's king is processor
-         p); take them from the last phase backwards, then pad with the
-         highest non-king ids. *)
-      let kings = List.init (min b (f + 1)) (fun i -> f + 1 - i) in
-      let rest = List.init (max 0 (b - (f + 1))) (fun i -> n - i) in
-      kings @ rest
-    in
-    let check_failures = ref [] in
-    List.iter
-      (fun b ->
-        let b = min b n in
-        let faults =
-          if b = 0 then Sim.Fault.none
-          else
-            let vs = victims b in
-            {
-              Sim.Fault.none with
-              Sim.Fault.byz =
-                List.map
-                  (fun p ->
-                    { Sim.Fault.processor = p; trigger = Sim.Fault.At 0. })
-                  vs;
-              byz_rules =
-                List.mapi (fun i p -> (p, rules.(i mod 3))) vs;
-              byz_equiv = List.filteri (fun i _ -> i mod 2 = 0) vs;
-            }
-        in
-        let c = C.create ~seed ?delay ~faults ~n () in
-        let completed, stalled, agree, last_stall = run_ops c in
-        let m = C.metrics c in
-        let total = Sim.Metrics.total_messages m in
-        let corrupted = Sim.Metrics.corruptions m in
-        let bproc, bload = Sim.Metrics.bottleneck m in
-        let per_op = float_of_int total /. float_of_int (max 1 ops) in
-        let added_pct =
-          if base_per_op > 0. then 100. *. ((per_op /. base_per_op) -. 1.)
-          else 0.
-        in
-        let shifted = bproc <> base_bproc in
-        let notes =
-          (if corrupted > 0 then
-             [ Printf.sprintf "corrupted=%d" corrupted ]
-           else [])
-          @ (if agree > 0 then
-               [ Printf.sprintf "agreement-violations=%d" agree ]
-             else [])
-          @ if stalled > 0 then [ "last stall: " ^ last_stall ] else []
-        in
-        Format.printf "%4d %6s  %5d/%-5d %7d  %8.1f %+7.0f%%  p%d(%d)%s %s@."
-          b
-          (if b <= f then "b<=f" else "b>f")
-          completed ops stalled per_op added_pct bproc bload
-          (if shifted then "*" else " ")
-          (String.concat "; " notes);
-        if check then begin
-          let fail fmt =
-            Printf.ksprintf
-              (fun s ->
-                check_failures :=
-                  Printf.sprintf "byz=%d: %s" b s :: !check_failures)
-              fmt
-          in
-          if b = 0 && completed <> ops then
-            fail "fault-free row completed %d/%d operations" completed ops;
-          if C.name = "sync-count" && b <= f && (agree > 0 || completed <> ops)
-          then
-            fail
-              "b <= f = %d must complete cleanly (completed %d/%d, %d \
-               agreement violations)"
-              f completed ops agree;
-          if C.name = "sync-no-threshold" && b >= 1 && agree = 0 then
-            fail
-              "control must show an agreement violation (equivocating \
-               last king)"
-        end)
-      byz_counts;
-    Format.printf
-      "@.(* = bottleneck moved off the fault-free bottleneck processor \
-       p%d)@."
-      base_bproc;
-    if check then
-      match !check_failures with
-      | [] -> Format.printf "chaos check (byzantine): OK@."
-      | fs ->
-          List.iter
-            (fun s -> Format.eprintf "chaos check FAILED: %s@." s)
-            fs;
-          exit 1
+        if C.crashed c !origin && tries < n then advance (tries + 1)
+      in
+      advance 0;
+      if not (C.crashed c !origin) then
+        let o = C.inc_result c ~origin:!origin in
+        outcomes := (o, not (C.crashed c !origin)) :: !outcomes
+    done;
+    List.rev !outcomes
   in
-  (* Durable sweep: runs Core.Durable_counter concretely (the generic
-     row loop cannot reach durable-only accessors through the sealed
-     module type). Victims are drawn from 1..n, so the store — processor
-     n+1 in the counter's own network — never crashes: the object store
-     models an external service that outlives processor failures. Rows
-     report [replayed=] (WAL replays: recoveries that reconstructed the
-     pre-crash count from the store) where the amnesiac sweep reports
-     [recovered=]; --check asserts zero lost increments instead of
-     completion bounds. *)
-  let run_durable n seed delay crash_counts drop_rates dup ops check recover
-      =
-    let module D = Core.Durable_counter in
-    let n = D.supported_n n in
-    let ops = if ops <= 0 then 2 * n else ops in
-    let run_ops c =
-      let values = ref [] and stalled = ref 0 and skipped = ref 0 in
-      let last_stall = ref "" in
-      let origin = ref 0 in
-      for _ = 1 to ops do
-        let rec advance tries =
-          origin := (!origin mod n) + 1;
-          if D.crashed c !origin && tries < n then advance (tries + 1)
-        in
-        advance 0;
-        if D.crashed c !origin then incr skipped
-        else
-          match D.inc_result c ~origin:!origin with
-          | Counter.Counter_intf.Completed v -> values := v :: !values
-          | Counter.Counter_intf.Stalled reason ->
-              incr stalled;
-              last_stall := reason
-      done;
-      (List.rev !values, !stalled, !skipped, !last_stall)
+  (* Deterministic victim/trigger choice: a private stream per (crashes,
+     drop) cell so rows are independently reproducible. Without
+     --recover, crashes trigger on delivery counts drawn from the
+     fault-free run's total. With it, crashes move to virtual-time
+     triggers drawn from the fault-free run's span so each victim's
+     revival can be placed strictly after its death — a beat or two of
+     timeout (32.) later, while operations are still running. Victims
+     are drawn from 1..n, so the durable counter's store (processor
+     n+1) never crashes. *)
+  let crash_plan ~seed ~n ~recover ~dup ~base_total ~base_span crashes di d =
+    let rng =
+      Sim.Rng.create
+        ~seed:(seed lxor (crashes * 7919) lxor ((di + 1) * 104729))
     in
-    let baseline = D.create ~seed ?delay ~n () in
-    let _ = run_ops baseline in
-    let base_metrics = D.metrics baseline in
-    let base_total = Sim.Metrics.total_messages base_metrics in
-    let base_bproc, base_bload = Sim.Metrics.bottleneck base_metrics in
-    let base_per_op = float_of_int base_total /. float_of_int (max 1 ops) in
-    let base_span =
-      List.fold_left
-        (fun acc t -> acc +. Sim.Trace.duration t)
-        0. (D.traces baseline)
+    let perm = Sim.Rng.permutation rng n in
+    let victim i =
+      let processor = perm.(i) + 1 in
+      if recover then
+        let tc = Sim.Rng.float rng (Float.max 1. base_span) in
+        ( { Sim.Fault.processor; trigger = Sim.Fault.At tc },
+          [ { Sim.Fault.processor; time = tc +. 32. +. Sim.Rng.float rng 64. } ]
+        )
+      else
+        let after = 1 + Sim.Rng.int rng (max 1 base_total) in
+        ({ Sim.Fault.processor; trigger = Sim.Fault.After after }, [])
     in
-    Format.printf
-      "chaos sweep (durable): counter=%s n=%d ops=%d seed=%d dup=%g \
-       recover=%b@.\
-       baseline: %d msgs (%.1f/op), bottleneck p%d(%d)@.@."
-      D.name n ops seed dup recover base_total base_per_op base_bproc
-      base_bload;
-    Format.printf
-      "%7s %6s  %-11s %7s %7s  %8s %8s  %-12s %s@." "crashes" "drop"
-      "done/req" "skipped" "stalled" "msgs/op" "load+%" "bottleneck" "notes";
-    let check_failures = ref [] in
-    List.iter
-      (fun f ->
-        List.iteri
-          (fun di d ->
-            let rng =
-              Sim.Rng.create
-                ~seed:(seed lxor (f * 7919) lxor ((di + 1) * 104729))
-            in
-            let perm = Sim.Rng.permutation rng n in
-            let crashes, recovers =
-              if not recover then
-                ( List.init (min f n) (fun i ->
-                      {
-                        Sim.Fault.processor = perm.(i) + 1;
-                        trigger =
-                          Sim.Fault.After
-                            (1 + Sim.Rng.int rng (max 1 base_total));
-                      }),
-                  [] )
-              else
-                let cells =
-                  List.init (min f n) (fun i ->
-                      let tc =
-                        Sim.Rng.float rng (Float.max 1. base_span)
-                      in
-                      ( {
-                          Sim.Fault.processor = perm.(i) + 1;
-                          trigger = Sim.Fault.At tc;
-                        },
-                        {
-                          Sim.Fault.processor = perm.(i) + 1;
-                          time = tc +. 32. +. Sim.Rng.float rng 64.;
-                        } ))
-                in
-                (List.map fst cells, List.map snd cells)
-            in
-            let faults =
-              {
-                Sim.Fault.none with
-                Sim.Fault.crashes;
-                recovers;
-                drop = d;
-                duplicate = dup;
-              }
-            in
-            let c = D.create ~seed ?delay ~faults ~n () in
-            let values, stalled, skipped, last_stall = run_ops c in
-            let completed = List.length values in
-            let m = D.metrics c in
-            let total = Sim.Metrics.total_messages m in
-            let replayed = D.replays c in
-            let bproc, bload = Sim.Metrics.bottleneck m in
-            let attempted = ops - skipped in
-            let per_op =
-              float_of_int total /. float_of_int (max 1 attempted)
-            in
-            let added_pct =
-              if base_per_op > 0. then
-                100. *. ((per_op /. base_per_op) -. 1.)
-              else 0.
-            in
-            let shifted = bproc <> base_bproc in
-            let durable = D.value c in
-            let notes =
-              (if replayed > 0 then
-                 [ Printf.sprintf "replayed=%d" replayed ]
-               else [])
-              @ [ Printf.sprintf "durable=%d" durable ]
-              @
-              if stalled > 0 then [ "last stall: " ^ last_stall ] else []
-            in
-            Format.printf
-              "%7d %6.2f  %5d/%-5d %7d %7d  %8.1f %+7.0f%%  p%d(%d)%s %s@."
-              f d completed attempted skipped stalled per_op added_pct
-              bproc bload
-              (if shifted then "*" else " ")
-              (String.concat "; " notes);
-            if check then begin
-              let fail fmt = Printf.ksprintf (fun s ->
-                  check_failures :=
-                    Printf.sprintf "crashes=%d drop=%g: %s" f d s
-                    :: !check_failures) fmt
-              in
-              (* Zero lost increments: every value acked to a client must
-                 survive in the store — distinct, below the durable
-                 count, with the WAL monitor quiet. The durable count may
-                 exceed the completed count (an applied increment whose
-                 ack was lost is durable but unacked), never trail it. *)
-              let sorted = List.sort Int.compare values in
-              let rec dup_in = function
-                | a :: (b :: _ as rest) ->
-                    if a = b then Some a else dup_in rest
-                | _ -> None
-              in
-              (match dup_in sorted with
-              | Some v -> fail "value %d acked twice" v
-              | None -> ());
-              List.iter
-                (fun v ->
-                  if v >= durable then
-                    fail "acked value %d lost (durable count %d)" v durable)
-                values;
-              if completed > durable then
-                fail "%d acks but durable count %d" completed durable;
-              (match D.spec_violation c with
-              | Some s -> fail "spec violation: %s" s
-              | None -> ());
-              if f = 0 && Float.equal d 0. && Float.equal dup 0.
-                 && completed <> ops
-              then fail "fault-free row completed %d/%d operations"
-                     completed ops
-            end)
-          drop_rates)
-      crash_counts;
-    Format.printf
-      "@.(* = bottleneck moved off the fault-free bottleneck processor \
-       p%d)@."
-      base_bproc;
-    if check then
-      match !check_failures with
-      | [] -> Format.printf "chaos check (durable): OK@."
-      | fs ->
-          List.iter
-            (fun f -> Format.eprintf "chaos check FAILED: %s@." f)
-            fs;
-          exit 1
+    let victims = List.init (min crashes n) victim in
+    {
+      Sim.Fault.none with
+      Sim.Fault.crashes = List.map fst victims;
+      recovers = List.concat_map snd victims;
+      drop = d;
+      duplicate = dup;
+    }
   in
   let run counter n seed delay crash_counts drop_rates dup ops check recover
-      durable byz byz_counts =
-    if byz && durable then begin
-      Format.eprintf "dcount chaos: --byz and --durable are mutually \
-                      exclusive@.";
-      exit 2
-    end;
+      byz byz_counts =
     List.iter
       (fun (flag, p) ->
         if not (p >= 0. && p <= 1.) then begin
@@ -760,207 +479,154 @@ let chaos_cmd =
           exit 2
         end)
       (("--dup", dup) :: List.map (fun d -> ("--drops", d)) drop_rates);
-    if byz then run_byz counter n seed delay byz_counts ops check
-    else if durable then
-      run_durable n seed delay crash_counts drop_rates dup ops check recover
-    else
-    let (module C : Counter.Counter_intf.S) = counter in
-    let n = C.supported_n n in
-    let ops = if ops <= 0 then 2 * n else ops in
-    (* One operation round: round-robin over the origins, skipping origins
-       already crashed when their turn comes (a dead client cannot issue a
-       request). [stalled_live] counts stalls whose origin was still alive
-       at the end of the operation — the stalls a fault-tolerant protocol
-       is supposed to avoid; an origin crashing mid-operation can never
-       see its own answer, so those stalls are inherent. *)
-    let run_ops c =
-      let completed = ref 0
-      and stalled = ref 0
-      and stalled_live = ref 0
-      and hard_stalls = ref 0
-      and skipped = ref 0 in
-      let last_stall = ref "" in
-      let origin = ref 0 in
-      for _ = 1 to ops do
-        let rec advance tries =
-          origin := (!origin mod n) + 1;
-          if C.crashed c !origin && tries < n then advance (tries + 1)
-        in
-        advance 0;
-        if C.crashed c !origin then incr skipped
+    let (module K : Counter.Counter_intf.S) = counter in
+    if byz && not (List.mem K.name byz_capable) then begin
+      Format.eprintf
+        "dcount chaos: --byz sweeps need a corruption-hooked counter (%s); \
+         %s has none@."
+        (String.concat ", " byz_capable)
+        K.name;
+      exit 2
+    end;
+    let n = K.supported_n n and promise = Baselines.Registry.promise K.name in
+    let ops = if ops <= 0 then 2 * n else ops and f = (n - 1) / 3 in
+    let tag =
+      match promise with
+      | _ when byz -> " (byzantine)"
+      | Counter.Promise.Durable -> " (durable)"
+      | _ -> ""
+    in
+    (* Rows are crash x drop cells, or turn counts with --byz; each row is
+       printed and held to the counter's promise. The fault-free baseline
+       is the reference for added load and bottleneck shift, and gives the
+       horizons crash triggers are drawn from. *)
+    let sweep (type c) (module C : Counter.Counter_intf.S with type t = c)
+        (replays : c -> int option) =
+      let run plan =
+        let c = C.create ~seed ?delay ~faults:plan ~n () in
+        (c, run_ops (module C) c ~n ~ops)
+      in
+      let baseline, _ = run Sim.Fault.none in
+      let base_m = C.metrics baseline in
+      let base_total = Sim.Metrics.total_messages base_m in
+      let base_bproc, base_bload = Sim.Metrics.bottleneck base_m in
+      let base_per_op = float_of_int base_total /. float_of_int (max 1 ops) in
+      let base_span =
+        List.fold_left
+          (fun acc t -> acc +. Sim.Trace.duration t)
+          0. (C.traces baseline)
+      in
+      Format.printf
+        "chaos sweep%s: counter=%s n=%d %s@.baseline: %d msgs (%.1f/op), \
+         bottleneck p%d(%d)@.@."
+        tag C.name n
+        (if byz then Printf.sprintf "f=%d ops=%d seed=%d" f ops seed
+         else
+           Printf.sprintf "ops=%d seed=%d dup=%g recover=%b" ops seed dup
+             recover)
+        base_total base_per_op base_bproc base_bload;
+      Format.printf "%s  %-11s%s %7s  %8s %8s  %-12s %s@."
+        (if byz then Printf.sprintf "%4s %6s" "byz" "vs f"
+         else Printf.sprintf "%7s %6s" "crashes" "drop")
+        "done/req"
+        (if byz then "" else Printf.sprintf " %7s" "skipped")
+        "stalled" "msgs/op" "load+%" "bottleneck" "notes";
+      let rows =
+        if byz then
+          List.map
+            (fun b ->
+              let b = min b n in
+              ( Printf.sprintf "%4d %6s" b (if b <= f then "b<=f" else "b>f"),
+                Printf.sprintf "byz=%d" b,
+                Core.Sync_counter.king_plan ~n ~b ))
+            byz_counts
         else
-          match C.inc_result c ~origin:!origin with
-          | Counter.Counter_intf.Completed _ -> incr completed
-          | Counter.Counter_intf.Stalled reason ->
-              incr stalled;
-              if not (C.crashed c !origin) then incr stalled_live;
-              (* A stall blamed on the origin's own crash is inherent
-                 (the client died mid-request); anything else is a stall
-                 a failure-aware protocol is supposed to avoid. *)
-              if
-                (not (C.crashed c !origin))
-                && not (contains ~sub:"origin" reason)
-              then incr hard_stalls;
-              last_stall := reason
-      done;
-      (!completed, !stalled, !stalled_live, !hard_stalls, !skipped, !last_stall)
+          List.concat_map
+            (fun crashes ->
+              List.mapi
+                (fun di d ->
+                  ( Printf.sprintf "%7d %6.2f" crashes d,
+                    Printf.sprintf "crashes=%d drop=%g" crashes d,
+                    crash_plan ~seed ~n ~recover ~dup ~base_total ~base_span
+                      crashes di d ))
+                drop_rates)
+            crash_counts
+      in
+      let failures = ref [] in
+      List.iter
+        (fun (key, label, plan) ->
+          let c, outcomes = run plan in
+          let m = C.metrics c and value = C.value c in
+          let total = Sim.Metrics.total_messages m in
+          let bproc, bload = Sim.Metrics.bottleneck m in
+          let stalls =
+            List.filter_map
+              (function
+                | Counter.Counter_intf.Stalled s, _ -> Some s
+                | Counter.Counter_intf.Completed _, _ -> None)
+              outcomes
+          in
+          let attempted = List.length outcomes
+          and stalled = List.length stalls in
+          let per_op = float_of_int total /. float_of_int (max 1 attempted) in
+          let count name k =
+            if k > 0 then [ Printf.sprintf "%s=%d" name k ] else []
+          in
+          let notes =
+            (if byz then
+               count "corrupted" (Sim.Metrics.corruptions m)
+               @ count "agreement-violations"
+                   (List.length
+                      (List.filter Counter.Promise.agreement_stall stalls))
+             else
+               match replays c with
+               | Some r ->
+                   count "replayed" r @ [ Printf.sprintf "durable=%d" value ]
+               | None ->
+                   let emerg = Sim.Metrics.emergency_retirements m
+                   and recovered = Sim.Metrics.recoveries m in
+                   if emerg = 0 && recovered = 0 then []
+                   else
+                     [ Printf.sprintf "emerg=%d recovered=%d" emerg recovered ])
+            @
+            match List.rev stalls with
+            | last :: _ -> [ "last stall: " ^ last ]
+            | [] -> []
+          in
+          Format.printf "%s  %5d/%-5d%s %7d  %8.1f %+7.0f%%  p%d(%d)%s %s@."
+            key (attempted - stalled) attempted
+            (if byz then "" else Printf.sprintf " %7d" (ops - attempted))
+            stalled per_op
+            (if base_per_op > 0. then 100. *. ((per_op /. base_per_op) -. 1.)
+             else 0.)
+            bproc bload
+            (if bproc <> base_bproc then "*" else " ")
+            (String.concat "; " notes);
+          if check then
+            List.iter
+              (fun s -> failures := (label ^ ": " ^ s) :: !failures)
+              (Counter.Promise.check promise
+                 { plan; n; ops; outcomes; value }))
+        rows;
+      Format.printf
+        "@.(* = bottleneck moved off the fault-free bottleneck processor \
+         p%d)@."
+        base_bproc;
+      if check then
+        match !failures with
+        | [] -> Format.printf "chaos check%s: OK@." tag
+        | fs ->
+            List.iter (Format.eprintf "chaos check FAILED: %s@.") fs;
+            exit 1
     in
-    (* Fault-free baseline: reference for added load, bottleneck shift and
-       the delivery-count horizon the crash triggers are drawn from. *)
-    let baseline = C.create ~seed ?delay ~n () in
-    let _ = run_ops baseline in
-    let base_metrics = C.metrics baseline in
-    let base_total = Sim.Metrics.total_messages base_metrics in
-    let base_bproc, base_bload = Sim.Metrics.bottleneck base_metrics in
-    let base_per_op = float_of_int base_total /. float_of_int (max 1 ops) in
-    (* Virtual-time span of the fault-free run — the horizon recovery
-       times are sampled from, so revivals land while work is going on. *)
-    let base_span =
-      List.fold_left
-        (fun acc t -> acc +. Sim.Trace.duration t)
-        0. (C.traces baseline)
-    in
-    Format.printf
-      "chaos sweep: counter=%s n=%d ops=%d seed=%d dup=%g recover=%b@.\
-       baseline: %d msgs (%.1f/op), bottleneck p%d(%d)@.@."
-      C.name n ops seed dup recover base_total base_per_op base_bproc
-      base_bload;
-    Format.printf
-      "%7s %6s  %-11s %7s %7s  %8s %8s  %-12s %s@." "crashes" "drop"
-      "done/req" "skipped" "stalled" "msgs/op" "load+%" "bottleneck" "notes";
-    let check_failures = ref [] in
-    let is_quorum =
-      String.length C.name >= 7 && String.sub C.name 0 7 = "quorum-"
-    in
-    List.iter
-      (fun f ->
-        List.iteri
-          (fun di d ->
-            (* Deterministic victim/trigger choice: a private stream per
-               (f, drop) cell so rows are independently reproducible. *)
-            let rng =
-              Sim.Rng.create
-                ~seed:(seed lxor (f * 7919) lxor ((di + 1) * 104729))
-            in
-            let perm = Sim.Rng.permutation rng n in
-            (* Without --recover, crashes trigger on delivery counts (the
-               original sweep). With it, crashes move to virtual-time
-               triggers drawn from the fault-free horizon so each victim's
-               revival can be placed strictly after its death — a beat or
-               two of timeout (32.) later, while operations are still
-               running. *)
-            let crashes, recovers =
-              if not recover then
-                ( List.init (min f n) (fun i ->
-                      {
-                        Sim.Fault.processor = perm.(i) + 1;
-                        trigger =
-                          Sim.Fault.After
-                            (1 + Sim.Rng.int rng (max 1 base_total));
-                      }),
-                  [] )
-              else
-                let cells =
-                  List.init (min f n) (fun i ->
-                      let tc =
-                        Sim.Rng.float rng (Float.max 1. base_span)
-                      in
-                      ( {
-                          Sim.Fault.processor = perm.(i) + 1;
-                          trigger = Sim.Fault.At tc;
-                        },
-                        {
-                          Sim.Fault.processor = perm.(i) + 1;
-                          time = tc +. 32. +. Sim.Rng.float rng 64.;
-                        } ))
-                in
-                (List.map fst cells, List.map snd cells)
-            in
-            let faults =
-              {
-                Sim.Fault.none with
-                Sim.Fault.crashes;
-                recovers;
-                drop = d;
-                duplicate = dup;
-              }
-            in
-            let c = C.create ~seed ?delay ~faults ~n () in
-            let completed, stalled, stalled_live, hard_stalls, skipped,
-                last_stall =
-              run_ops c
-            in
-            let m = C.metrics c in
-            let total = Sim.Metrics.total_messages m in
-            let emerg = Sim.Metrics.emergency_retirements m in
-            let recovered = Sim.Metrics.recoveries m in
-            let bproc, bload = Sim.Metrics.bottleneck m in
-            let attempted = ops - skipped in
-            let per_op = float_of_int total /. float_of_int (max 1 attempted) in
-            let added_pct =
-              if base_per_op > 0. then
-                100. *. ((per_op /. base_per_op) -. 1.)
-              else 0.
-            in
-            let shifted = bproc <> base_bproc in
-            let notes =
-              (if emerg > 0 || recovered > 0 then
-                 [ Printf.sprintf "emerg=%d recovered=%d" emerg recovered ]
-               else [])
-              @
-              if stalled > 0 then [ "last stall: " ^ last_stall ] else []
-            in
-            Format.printf
-              "%7d %6.2f  %5d/%-5d %7d %7d  %8.1f %+7.0f%%  p%d(%d)%s %s@." f
-              d completed attempted skipped stalled per_op added_pct bproc
-              bload
-              (if shifted then "*" else " ")
-              (String.concat "; " notes);
-            if check then begin
-              if f = 0 && Float.equal d 0. && Float.equal dup 0. && completed <> ops
-              then
-                check_failures :=
-                  Printf.sprintf
-                    "fault-free row completed %d/%d operations" completed ops
-                  :: !check_failures;
-              if
-                is_quorum && Float.equal d 0. && Float.equal dup 0.
-                && f <= (n - 1) / 2
-                && stalled_live > 0
-              then
-                check_failures :=
-                  Printf.sprintf
-                    "%s: %d live-origin stalls with %d crashes (f < n/2 must \
-                     complete)"
-                    C.name stalled_live f
-                  :: !check_failures;
-              (* The failure-aware retire tree promises to complete every
-                 live-origin inc when crashes stay below the overflow pool
-                 (2n by default, so every sweep row qualifies); only
-                 stalls blamed on the origin's own crash are excused. *)
-              if
-                C.name = "retire-ft" && Float.equal d 0.
-                && Float.equal dup 0. && hard_stalls > 0
-              then
-                check_failures :=
-                  Printf.sprintf
-                    "retire-ft: %d non-origin stalls with %d crashes \
-                     (crashes below the overflow pool must complete)"
-                    hard_stalls f
-                  :: !check_failures
-            end)
-          drop_rates)
-      crash_counts;
-    Format.printf
-      "@.(* = bottleneck moved off the fault-free bottleneck processor \
-       p%d)@."
-      base_bproc;
-    if check then
-      match !check_failures with
-      | [] -> Format.printf "chaos check: OK@."
-      | fs ->
-          List.iter (fun f -> Format.eprintf "chaos check FAILED: %s@." f) fs;
-          exit 1
+    (* The durable counter's notes read its WAL replays, so it is swept at
+       its own type. *)
+    match promise with
+    | Counter.Promise.Durable ->
+        sweep
+          (module Core.Durable_counter)
+          (fun c -> Some (Core.Durable_counter.replays c))
+    | _ -> sweep (module K) (fun _ -> None)
   in
   let crashes_arg =
     Arg.(
@@ -992,11 +658,19 @@ let chaos_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Assert completion bounds: the fault-free row completes every \
-             operation; quorum counters complete every live-origin \
-             operation at drop 0 whenever fewer than half the processors \
-             crash; retire-ft never stalls a live origin at drop 0. Exit \
-             1 on violation.")
+            "Hold every row to the counter's promise and exit 1 on a \
+             violation. Completes (every counter): the fault-free row \
+             completes every operation. Quorum_live (the quorum \
+             counters): no live-origin operation stalls at drop 0 and dup \
+             0 while at most (n-1)/2 processors crash. Live_origins \
+             (retire-ft): at drop 0 and dup 0 a live origin stalls only \
+             with a reason naming the origin. Durable ($(b,durable)): no \
+             acked increment is lost — acked values are distinct and \
+             below the durable count, and the WAL monitor saw no \
+             violation. Agreement (sync-count): with at most f = (n-1)/3 \
+             turned processors and no other fault, every operation \
+             completes. Splits (the sync-no-threshold control): every row \
+             with a turned processor shows an agreement violation.")
   in
   let recover_arg =
     Arg.(
@@ -1008,21 +682,6 @@ let chaos_cmd =
              report emergency retirements and actual revivals in the \
              notes column.")
   in
-  let durable_arg =
-    Arg.(
-      value & flag
-      & info [ "durable" ]
-          ~doc:
-            "Sweep the WAL-backed $(b,durable) counter (ignores \
-             $(b,--counter)). Rows report $(b,replayed=) — recoveries \
-             that reconstructed the pre-crash count from the object \
-             store — where the amnesiac sweep reports $(b,recovered=), \
-             plus the durable count from an offline WAL audit. With \
-             $(b,--check), asserts zero lost increments on every row: \
-             acked values are distinct, below the durable count, and the \
-             WAL monitor saw no violation. Combine with $(b,--recover) \
-             to exercise crash-recovery.")
-  in
   let byz_flag_arg =
     Arg.(
       value & flag
@@ -1033,11 +692,7 @@ let chaos_cmd =
              $(b,sync-no-threshold)). Victims are the kings, last king \
              first — the adversary's strongest seats — with rewrite \
              rules cycling off-by-7 / max-int / replay-stale and every \
-             second victim equivocating. With $(b,--check), asserts the \
-             f < n/3 contract: sync-count completes every operation \
-             with zero agreement stalls at b <= f, and the \
-             sync-no-threshold control shows an agreement violation on \
-             every row with b >= 1.")
+             second victim equivocating.")
   in
   let byz_counts_arg =
     Arg.(
@@ -1057,7 +712,7 @@ let chaos_cmd =
     Term.(
       const run $ counter_arg $ n_arg $ seed_arg $ delay_arg $ crashes_arg
       $ drops_arg $ dup_arg $ ops_arg $ check_arg $ recover_arg
-      $ durable_arg $ byz_flag_arg $ byz_counts_arg)
+      $ byz_flag_arg $ byz_counts_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compare *)

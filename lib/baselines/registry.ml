@@ -58,6 +58,24 @@ let find name = Option.map to_counter (find_concurrent name)
 
 let names () = List.map name_of all
 
+let promise name =
+  let promises : (I.counter * Counter.Promise.t) list =
+    [
+      ((module Core.Retire_ft), Live_origins);
+      ((module Core.Durable_counter), Durable);
+      ((module Core.Sync_counter), Agreement);
+      ((module Sync_no_threshold), Splits);
+      ((module Quorum_counter.Over_majority), Quorum_live);
+      ((module Quorum_counter.Over_grid), Quorum_live);
+      ((module Quorum_counter.Over_tree), Quorum_live);
+      ((module Quorum_counter.Over_wall), Quorum_live);
+      ((module Quorum_counter.Over_plane), Quorum_live);
+    ]
+  in
+  match List.find_opt (fun (c, _) -> name_of c = name) promises with
+  | Some (_, p) -> p
+  | None -> Completes
+
 (* Handles on single members of [all], resolved by registry name. *)
 let member name =
   match find name with

@@ -53,6 +53,13 @@ val broken : Counter.Counter_intf.counter list
 val find : string -> Counter.Counter_intf.counter option
 (** Look up by [name], searching {!all}, {!sync_count} and {!broken}. *)
 
+val promise : string -> Counter.Promise.t
+(** What the named counter promises under a fault plan:
+    [Live_origins] for retire-ft, [Durable] for durable, [Agreement] for
+    sync-count, [Splits] for the sync-no-threshold control,
+    [Quorum_live] for the five quorum counters and [Completes] for every
+    other name. *)
+
 val names : unit -> string list
 (** Names of {!all} (the broken counters are not listed). *)
 

@@ -360,3 +360,22 @@ let resilience t = (core t).Protocol.f
 let phases t = (core t).Protocol.phases
 
 let correct t p = Protocol.correct (core t) p
+
+let king_plan ~n ~b =
+  let f = (n - 1) / 3 and b = min b n in
+  let victims =
+    List.init (min b (f + 1)) (fun i -> f + 1 - i)
+    @ List.init (max 0 (b - (f + 1))) (fun i -> n - i)
+  in
+  let rules =
+    [| Sim.Fault.Off_by 7; Sim.Fault.Max_int; Sim.Fault.Replay_stale |]
+  in
+  {
+    Sim.Fault.none with
+    Sim.Fault.byz =
+      List.map
+        (fun p -> { Sim.Fault.processor = p; trigger = Sim.Fault.At 0. })
+        victims;
+    byz_rules = List.mapi (fun i p -> (p, rules.(i mod 3))) victims;
+    byz_equiv = List.filteri (fun i _ -> i mod 2 = 0) victims;
+  }

@@ -74,3 +74,12 @@ include Counter.Counter_intf.CONCURRENT with type t := t
     operations run one after another (see
     {!Counter.Counter_intf.CORE.serialising}): each runs its full
     agreement before the next one starts. *)
+
+val king_plan : n:int -> b:int -> Sim.Fault.t
+(** The plan turning [min b n] processors Byzantine at time 0, the
+    strongest seats first: the kings from the last phase backwards
+    (phase [p]'s king is processor [p]; the final phase's king has the
+    last word on every replica's value), then the highest non-king ids.
+    Rewrite rules cycle off-by-7 / max-int / replay-stale and every
+    second victim equivocates. [b = 0] gives a plan equal to
+    {!Sim.Fault.none}. *)

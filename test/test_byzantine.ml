@@ -285,25 +285,10 @@ let test_after_trigger_turns_mid_run () =
     (List.exists (fun (p, v) -> p = 3 && v >= 16) !log)
 
 (* ------------------------------------------------------------------ *)
-(* The f < n/3 contract. Victim choice mirrors dcount chaos --byz: the
-   kings, last king first (the strongest seats), rules cycling
-   off-by-7 / max-int / replay-stale, every second victim equivocating. *)
-
-let king_plan ~n ~b =
-  let f = (n - 1) / 3 in
-  let rules =
-    [| Sim.Fault.Off_by 7; Sim.Fault.Max_int; Sim.Fault.Replay_stale |]
-  in
-  let victims = List.init (min b (f + 1)) (fun i -> f + 1 - i) in
-  {
-    Sim.Fault.none with
-    Sim.Fault.byz =
-      List.map
-        (fun p -> { Sim.Fault.processor = p; trigger = Sim.Fault.At 0. })
-        victims;
-    byz_rules = List.mapi (fun i p -> (p, rules.(i mod 3))) victims;
-    byz_equiv = List.filteri (fun i _ -> i mod 2 = 0) victims;
-  }
+(* The f < n/3 contract under dcount chaos --byz's plan
+   (Core.Sync_counter.king_plan): the kings, last king first (the
+   strongest seats), rules cycling off-by-7 / max-int / replay-stale,
+   every second victim equivocating. *)
 
 let run_ops ~inc_result ~n ~ops =
   let values = ref [] and stalls = ref [] in
@@ -321,7 +306,7 @@ let test_completion_matrix () =
     (fun n ->
       let f = (n - 1) / 3 in
       let module C = Core.Sync_counter in
-      let c = C.create ~faults:(king_plan ~n ~b:f) ~n ~seed:42 () in
+      let c = C.create ~faults:(C.king_plan ~n ~b:f) ~n ~seed:42 () in
       check Alcotest.int
         (Printf.sprintf "n=%d: resilience" n)
         f (C.resilience c);

@@ -235,11 +235,10 @@ let test_chaos_byz_check () =
     "chaos --byz -c sync-no-threshold -n 7 --byz-counts 7 --check"
 
 let test_chaos_byz_usage_errors () =
-  (* Only byz-capable counters accept the sweep; --durable is a
-     different engine entirely. *)
+  (* Only byz-capable counters accept the sweep. *)
   check_exit "--byz on a hookless counter = exit 2" 2
     "chaos --byz -c retire-tree -n 8";
-  check_exit "--byz --durable = exit 2" 2 "chaos --byz --durable -n 4"
+  check_exit "--byz on durable = exit 2" 2 "chaos --byz -c durable -n 4"
 
 (* ------------------------------------------------------------------ *)
 (* dcount load *)
@@ -436,7 +435,7 @@ let goldens =
       "chaos -c central -n 16 --crashes 0,2 --drops 0,0.05 --dup 0.02 --check"
     );
     ( "chaos_durable",
-      "chaos --durable -n 4 --ops 40 --crashes 0,1,2,3 --drops 0,0.1 \
+      "chaos -c durable -n 4 --ops 40 --crashes 0,1,2,3 --drops 0,0.1 \
        --recover --check" );
     ("chaos_byz_sync_count", "chaos --byz -c sync-count -n 7 --check");
     ( "chaos_byz_sync_no_threshold",

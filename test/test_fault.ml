@@ -631,6 +631,142 @@ let test_duplication_typed_outcomes () =
         [ Sim.Delay.Constant 1.0; Sim.Delay.Exponential 1.0 ])
     every_counter
 
+(* ------------------------------------------------------------------ *)
+(* Promises: each rule of Counter.Promise on synthetic rows, past its
+   boundary and at it — the reference that no rule got looser. *)
+
+module P = Counter.Promise
+
+let acked v = (Counter.Counter_intf.Completed v, true)
+
+let stalled ?(alive = true) reason =
+  (Counter.Counter_intf.Stalled reason, alive)
+
+let row ?(plan = Sim.Fault.none) ?(n = 9) ?ops ?(value = 0) outcomes =
+  let ops = Option.value ops ~default:(List.length outcomes) in
+  { P.plan; n; ops; outcomes; value }
+
+(* The plan crashing processors 1 .. k at time 0, plus [extra] clauses. *)
+let crashes ?(extra = []) k =
+  plan
+    (String.concat "/"
+       (List.init k (fun i -> Printf.sprintf "crash:%d@0" (i + 1)) @ extra))
+
+let fires promise r = P.check promise r <> []
+
+let test_promise_quorum_live () =
+  let live = [ acked 0; stalled "Quorum_counter.inc: gave up" ] in
+  (* n = 9: (n - 1) / 2 = 4 crashes is the last row the promise covers. *)
+  check Alcotest.bool "fires at (n-1)/2 crashes" true
+    (fires Quorum_live (row ~plan:(crashes 4) live));
+  check Alcotest.bool "quiet at (n+1)/2 crashes" false
+    (fires Quorum_live (row ~plan:(crashes 5) live));
+  check Alcotest.bool "quiet at drop 0.1" false
+    (fires Quorum_live (row ~plan:(crashes ~extra:[ "drop:0.1" ] 4) live));
+  check Alcotest.bool "quiet at dup > 0" false
+    (fires Quorum_live (row ~plan:(crashes ~extra:[ "dup:0.01" ] 4) live));
+  check Alcotest.bool "quiet when the origin died" false
+    (fires Quorum_live
+       (row ~plan:(crashes 4) [ acked 0; stalled ~alive:false "gave up" ]))
+
+let test_promise_live_origins () =
+  let names_origin =
+    row ~plan:(crashes 1)
+      [ acked 0; stalled "Retire_ft.inc: origin crashed mid-operation" ]
+  in
+  check Alcotest.bool "origin-naming live stall fires Quorum_live" true
+    (fires Quorum_live names_origin);
+  check Alcotest.bool "origin-naming live stall excused by Live_origins" false
+    (fires Live_origins names_origin);
+  let hard = [ acked 0; stalled "Retire_ft.inc: no value returned" ] in
+  check Alcotest.bool "other live stall fires" true
+    (fires Live_origins (row ~plan:(crashes 8) hard));
+  check Alcotest.bool "quiet at drop 0.1" false
+    (fires Live_origins (row ~plan:(crashes ~extra:[ "drop:0.1" ] 8) hard));
+  check Alcotest.bool "quiet at dup > 0" false
+    (fires Live_origins (row ~plan:(crashes ~extra:[ "dup:0.01" ] 8) hard));
+  check Alcotest.bool "quiet when the origin died" false
+    (fires Live_origins
+       (row ~plan:(crashes 8)
+          [ acked 0; stalled ~alive:false "no value returned" ]))
+
+let test_promise_durable () =
+  let durable ~value outcomes =
+    P.check Durable (row ~plan:(crashes 1) ~value outcomes)
+  in
+  check Alcotest.(list string) "duplicate ack"
+    [ "value 1 acked twice" ]
+    (durable ~value:3 [ acked 1; acked 0; acked 1 ]);
+  check Alcotest.(list string) "ack at the durable count"
+    [ "acked value 2 lost (durable count 2)" ]
+    (durable ~value:2 [ acked 0; acked 2 ]);
+  check Alcotest.(list string) "more acks than the durable count"
+    [ "value 0 acked twice"; "3 acks but durable count 2" ]
+    (durable ~value:2 [ acked 0; acked 0; acked 1 ]);
+  check Alcotest.(list string) "spec stall, reported once"
+    [ "spec violation: lost update" ]
+    (durable ~value:1
+       [ acked 0; stalled "spec: lost update"; stalled "spec: lost update" ]);
+  check Alcotest.(list string) "an unacked durable increment is fine" []
+    (durable ~value:4
+       [ acked 0; acked 1; stalled ~alive:false "origin crashed"; acked 3 ])
+
+let test_promise_agreement () =
+  let n = 7 in
+  let f = (n - 1) / 3 in
+  let turned b = Core.Sync_counter.king_plan ~n ~b in
+  let split = [ acked 0; stalled "spec: agreement violated: replica 1" ] in
+  check Alcotest.bool "fires at b = f" true
+    (fires Agreement (row ~n ~plan:(turned f) split));
+  check Alcotest.bool "quiet at b = f + 1" false
+    (fires Agreement (row ~n ~plan:(turned (f + 1)) split));
+  check Alcotest.bool "quiet under a crash" false
+    (fires Agreement
+       (row ~n ~plan:(crashes 1) [ acked 0; stalled "sync round incomplete" ]));
+  check Alcotest.bool "Splits fires at b >= 1 with no agreement stall" true
+    (fires Splits (row ~n ~plan:(turned 1) [ acked 0; acked 1 ]));
+  check Alcotest.bool "Splits quiet at b >= 1 with an agreement stall" false
+    (fires Splits (row ~n ~plan:(turned 1) split));
+  check Alcotest.bool "Splits quiet at b = 0" false
+    (fires Splits (row ~n [ acked 0; acked 1 ]))
+
+let test_promise_fault_free () =
+  List.iter
+    (fun promise ->
+      check Alcotest.bool "fault-free stall fires" true
+        (List.mem "fault-free row completed 1/2 operations"
+           (P.check promise
+              (row ~value:1 [ acked 0; stalled "no value returned" ])));
+      check Alcotest.bool "fault-free skipped op fires" true
+        (fires promise (row ~ops:2 ~value:1 [ acked 0 ]));
+      check Alcotest.(list string) "fault-free row that completes" []
+        (P.check promise (row ~n:7 ~value:2 [ acked 0; acked 1 ])))
+    [ Completes; Quorum_live; Live_origins; Durable; Agreement; Splits ]
+
+let test_registry_promise () =
+  let name = function
+    | P.Completes -> "Completes"
+    | Quorum_live -> "Quorum_live"
+    | Live_origins -> "Live_origins"
+    | Durable -> "Durable"
+    | Agreement -> "Agreement"
+    | Splits -> "Splits"
+  in
+  List.iter
+    (fun (counter, expected) ->
+      check Alcotest.string counter expected
+        (name (Baselines.Registry.promise counter)))
+    [
+      ("retire-ft", "Live_origins");
+      ("durable", "Durable");
+      ("sync-count", "Agreement");
+      ("sync-no-threshold", "Splits");
+      ("quorum-majority", "Quorum_live");
+      ("quorum-projective-plane", "Quorum_live");
+      ("central", "Completes");
+      ("retire-tree", "Completes");
+    ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -687,5 +823,15 @@ let () =
             test_fault_run_reproducible;
           Alcotest.test_case "duplication gives typed outcomes" `Quick
             test_duplication_typed_outcomes;
+        ] );
+      ( "promises",
+        [
+          Alcotest.test_case "quorum live" `Quick test_promise_quorum_live;
+          Alcotest.test_case "live origins" `Quick test_promise_live_origins;
+          Alcotest.test_case "durable" `Quick test_promise_durable;
+          Alcotest.test_case "agreement and splits" `Quick
+            test_promise_agreement;
+          Alcotest.test_case "fault-free row" `Quick test_promise_fault_free;
+          Alcotest.test_case "registry" `Quick test_registry_promise;
         ] );
     ]
