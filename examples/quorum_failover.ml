@@ -65,7 +65,6 @@ let () =
   let outcome =
     Quorum.Probe.search (module Quorum.Grid) ~n
       ~failed:(fun e -> List.mem e dead)
-      ()
   in
   (match outcome.Quorum.Probe.found with
   | Some members ->

@@ -29,12 +29,14 @@ module Protocol = struct
   type t = {
     net : payload Sim.Network.t;
     n : int;
-    window : float;
     nodes : node_state array;  (* heap-indexed 1 .. n-1; slot 0 unused *)
     mutable value : int;
     mutable combined : int;
     mutable uncombined : int;
   }
+
+  (* How long a node holds a request for its sibling's, in virtual time. *)
+  let window = 1.5
 
   let name = "combining"
 
@@ -136,7 +138,7 @@ module Protocol = struct
     nd.collecting <- Some { side; count; op; batch };
     nd.generation <- nd.generation + 1;
     let gen = nd.generation in
-    Sim.Network.schedule_local t.net ~delay:t.window (fun () ->
+    Sim.Network.schedule_local t.net ~delay:window (fun () ->
         if nd.generation = gen then
           match nd.collecting with
           | Some first ->
@@ -146,13 +148,12 @@ module Protocol = struct
               ascend t ~self ~node ~batch:[ first ] ~count:first.count
           | None -> ())
 
-  let create_binary ?(seed = 42) ?delay ?faults ?(window = 1.5) ~n () =
+  let create ?(seed = 42) ?delay ?faults ~n () =
     if not (is_power_of_two n) then
       invalid_arg "Combining_tree: n must be a power of two (use supported_n)";
     {
       net = Sim.Network.create ~seed ?delay ?faults ~label ~n ();
       n;
-      window;
       nodes =
         Array.init (max 1 n) (fun _ ->
             {
@@ -165,8 +166,6 @@ module Protocol = struct
       combined = 0;
       uncombined = 0;
     }
-
-  let create ?seed ?delay ?faults ~n () = create_binary ?seed ?delay ?faults ~n ()
 
   let net t = t.net
 
@@ -208,9 +207,6 @@ module Protocol = struct
 end
 
 include Counter.Host.Make (Protocol)
-
-let create_binary ?seed ?delay ?faults ?window ~n () =
-  host (Protocol.create_binary ?seed ?delay ?faults ?window ~n ())
 
 let combined_requests t = (core t).Protocol.combined
 

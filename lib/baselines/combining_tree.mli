@@ -4,7 +4,8 @@
 
     A complete binary tree with one leaf per processor. An increment
     request climbs toward the root; a node that receives a request waits a
-    short {e combining window} (a local timer) for a request from its
+    short {e combining window} (a local timer of 1.5 virtual-time units)
+    for a request from its
     other child and, if one arrives, forwards a single combined request
     carrying the sum of the counts. The root allocates a contiguous block
     [\[val, val + c)] and the grant descends the tree, splitting at each
@@ -22,17 +23,6 @@
     that were absorbed by combining. *)
 
 type t
-
-val create_binary :
-  ?seed:int ->
-  ?delay:Sim.Delay.t ->
-  ?faults:Sim.Fault.t ->
-  ?window:float ->
-  n:int ->
-  unit ->
-  t
-(** [n] must be a power of two. [window] (default 1.5 virtual-time units)
-    is the combining wait. *)
 
 val combined_requests : t -> int
 (** Requests absorbed into a sibling's request (never travelled up). *)

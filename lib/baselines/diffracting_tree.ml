@@ -24,12 +24,14 @@ module Protocol = struct
     net : payload Sim.Network.t;
     n : int;
     width : int;
-    prism_window : float;
     nodes : node_state array;  (* heap-indexed, slot 0 unused *)
     counts : int array;  (* per leaf wire *)
     mutable toggle_hits : int;
     mutable diffractions : int;
   }
+
+  (* How long a lone token waits at a prism for a partner. *)
+  let prism_window = 1.5
 
   let name = "diffracting"
 
@@ -97,7 +99,7 @@ module Protocol = struct
             nd.waiting <- Some (origin, op);
             nd.generation <- nd.generation + 1;
             let gen = nd.generation in
-            Sim.Network.schedule_local st.net ~delay:st.prism_window (fun () ->
+            Sim.Network.schedule_local st.net ~delay:prism_window (fun () ->
                 let still_parked =
                   nd.generation = gen
                   &&
@@ -115,7 +117,7 @@ module Protocol = struct
                   forward st ~src:self ~origin ~op ~node ~dir
                 end))
 
-  let create_width ?(seed = 42) ?delay ?faults ?(prism_window = 1.5) ~n ~width () =
+  let create_width ?(seed = 42) ?delay ?faults ~n ~width () =
     if n < 1 then invalid_arg "Diffracting_tree: n must be >= 1";
     if not (is_power_of_two width) then
       invalid_arg "Diffracting_tree: width must be a power of two";
@@ -128,7 +130,6 @@ module Protocol = struct
       net;
       n;
       width;
-      prism_window;
       nodes;
       counts = Array.make width 0;
       toggle_hits = 0;
@@ -179,8 +180,8 @@ end
 
 include Counter.Host.Make (Protocol)
 
-let create_width ?seed ?delay ?faults ?prism_window ~n ~width () =
-  host (Protocol.create_width ?seed ?delay ?faults ?prism_window ~n ~width ())
+let create_width ?seed ?delay ?faults ~n ~width () =
+  host (Protocol.create_width ?seed ?delay ?faults ~n ~width ())
 
 let width t = (core t).Protocol.width
 

@@ -25,13 +25,12 @@ val create_width :
   ?seed:int ->
   ?delay:Sim.Delay.t ->
   ?faults:Sim.Fault.t ->
-  ?prism_window:float ->
   n:int ->
   width:int ->
   unit ->
   t
-(** [width] must be a power of two ([>= 1]); [prism_window] (default 1.5
-    virtual-time units) is how long a lone token waits for a partner. *)
+(** [width] must be a power of two ([>= 1]). A lone token waits 1.5
+    virtual-time units (the prism window) for a partner. *)
 
 val width : t -> int
 

@@ -1,11 +1,9 @@
 type outcome = { found : int list option; probes : int; quorums_examined : int }
 
-let search (module Q : Quorum_intf.S) ~n ~failed ?max_quorums () =
+let search (module Q : Quorum_intf.S) ~n ~failed =
   let n = Q.supported_n n in
   let q = Q.create ~n in
-  let max_quorums =
-    match max_quorums with Some m -> m | None -> Q.distinct_quorums q
-  in
+  let max_quorums = Q.distinct_quorums q in
   (* known.(e): None = unprobed, Some alive = probed answer. *)
   let known = Array.make (n + 1) None in
   let probes = ref 0 in
@@ -41,7 +39,7 @@ let expected_probes (module Q : Quorum_intf.S) ~n ~fraction ~trials ~seed =
   for _ = 1 to trials do
     let failures = random_failures rng ~n:(Q.supported_n n) ~fraction in
     let outcome =
-      search (module Q) ~n ~failed:(fun e -> failures.(e)) ()
+      search (module Q) ~n ~failed:(fun e -> failures.(e))
     in
     total_probes := !total_probes + outcome.probes;
     if outcome.found <> None then incr successes

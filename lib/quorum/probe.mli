@@ -22,15 +22,9 @@ type outcome = {
   quorums_examined : int;
 }
 
-val search :
-  Quorum_intf.system ->
-  n:int ->
-  failed:(int -> bool) ->
-  ?max_quorums:int ->
-  unit ->
-  outcome
-(** Adaptive search as described above. [max_quorums] bounds the rotation
-    walk (default: the system's [distinct_quorums]). *)
+val search : Quorum_intf.system -> n:int -> failed:(int -> bool) -> outcome
+(** Adaptive search as described above, over the system's
+    [distinct_quorums]. *)
 
 val random_failures : Sim.Rng.t -> n:int -> fraction:float -> bool array
 (** Crash each element independently with probability [fraction];

@@ -180,7 +180,7 @@ let test_load_counts_sum () =
 let test_probe_no_failures () =
   (* Without failures the first quorum certifies after |Q| probes. *)
   let outcome =
-    Quorum.Probe.search (module Quorum.Grid) ~n:16 ~failed:(fun _ -> false) ()
+    Quorum.Probe.search (module Quorum.Grid) ~n:16 ~failed:(fun _ -> false)
   in
   (match outcome.Quorum.Probe.found with
   | Some members -> check Alcotest.int "probes = |Q|" (List.length members) outcome.Quorum.Probe.probes
@@ -195,7 +195,6 @@ let test_probe_skips_dead () =
   let outcome =
     Quorum.Probe.search (module Quorum.Grid) ~n:16
       ~failed:(fun e -> List.mem e dead)
-      ()
   in
   match outcome.Quorum.Probe.found with
   | Some members ->
@@ -205,7 +204,7 @@ let test_probe_skips_dead () =
 
 let test_probe_total_failure () =
   let outcome =
-    Quorum.Probe.search (module Quorum.Majority) ~n:9 ~failed:(fun _ -> true) ()
+    Quorum.Probe.search (module Quorum.Majority) ~n:9 ~failed:(fun _ -> true)
   in
   Alcotest.(check bool) "no quorum" true (outcome.Quorum.Probe.found = None)
 
@@ -228,7 +227,7 @@ let prop_probe_found_quorums_are_live =
          let rng = Sim.Rng.create ~seed in
          let failures = Quorum.Probe.random_failures rng ~n ~fraction:0.2 in
          let outcome =
-           Quorum.Probe.search (module Q) ~n ~failed:(fun e -> failures.(e)) ()
+           Quorum.Probe.search (module Q) ~n ~failed:(fun e -> failures.(e))
          in
          match outcome.Quorum.Probe.found with
          | None -> true
