@@ -70,7 +70,3 @@ let best_fit points =
       (List.map (fun s -> fit_shape s points) all_shapes)
   in
   match fits with [] -> assert false | best :: _ -> (best, fits)
-
-let pp_fit ppf f =
-  Format.fprintf ppf "%-8s scale=%8.3f residual=%.4f" (shape_name f.shape)
-    f.scale f.residual

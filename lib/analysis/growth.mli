@@ -36,5 +36,3 @@ val fit_shape : shape -> (float * float) list -> fit
 val best_fit : (float * float) list -> fit * fit list
 (** Best shape and all fits, sorted best-first. Requires >= 2 points with
     distinct [n]. *)
-
-val pp_fit : Format.formatter -> fit -> unit

@@ -70,11 +70,6 @@ let gini samples =
     (2. *. !weighted /. (nf *. total)) -. ((nf +. 1.) /. nf)
   end
 
-let mean_float samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Stats.mean_float: empty sample";
-  Array.fold_left ( +. ) 0. samples /. float_of_int n
-
 let pp_summary ppf s =
   Format.fprintf ppf
     "n=%d min=%d max=%d mean=%.2f sd=%.2f median=%.1f p90=%.1f p99=%.1f \

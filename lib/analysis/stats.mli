@@ -25,6 +25,4 @@ val gini : int array -> float
     one element): our imbalance measure for load distributions
     (experiment E6). Zero-sum samples yield 0. *)
 
-val mean_float : float array -> float
-
 val pp_summary : Format.formatter -> summary -> unit

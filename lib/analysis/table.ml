@@ -9,10 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows_rev <- row :: t.rows_rev
 
-let add_int_row t row = add_row t (List.map string_of_int row)
-
-let cell_int = string_of_int
-
 let cell_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
 
 let cell_bool b = if b then "yes" else "no"

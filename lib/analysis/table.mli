@@ -8,10 +8,6 @@ val create : columns:string list -> t
 
 val add_row : t -> string list -> unit
 
-val add_int_row : t -> int list -> unit
-
-val cell_int : int -> string
-
 val cell_float : ?decimals:int -> float -> string
 
 val cell_bool : bool -> string

@@ -83,6 +83,3 @@ let path_to_root t ~leaf =
     | Some p -> climb (id :: acc) p
   in
   climb [] (leaf_parent t ~leaf)
-
-let pp_node t ppf id =
-  Format.fprintf ppf "L%d.%d" (level_of t id) (index_of t id)

@@ -70,6 +70,3 @@ val leaf_parent : t -> leaf:int -> int
 val path_to_root : t -> leaf:int -> int list
 (** Flat ids from the leaf's parent up to and including the root — the
     route an [inc] request travels. Length [depth + 1]. *)
-
-val pp_node : t -> Format.formatter -> int -> unit
-(** Renders a flat id as ["L2.3"] (level 2, index 3). *)

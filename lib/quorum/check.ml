@@ -34,5 +34,3 @@ let first_violation (module Q : Quorum_intf.S) ~n ~slots =
      done
    with Exit -> ());
   !violation
-
-let pairwise_intersecting q ~n ~slots = first_violation q ~n ~slots = None

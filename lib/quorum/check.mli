@@ -9,10 +9,6 @@ val well_formed : Quorum_intf.system -> n:int -> slots:int -> bool
 (** Quorums over the first [slots] slots are non-empty, sorted,
     duplicate-free and within [1 .. n]. *)
 
-val pairwise_intersecting : Quorum_intf.system -> n:int -> slots:int -> bool
-(** Every pair among the first [slots] quorums intersects. O(slots^2 *
-    size); keep [slots] modest. *)
-
 val first_violation :
   Quorum_intf.system -> n:int -> slots:int -> (int * int) option
 (** The first non-intersecting slot pair, if any. *)

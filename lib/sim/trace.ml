@@ -162,10 +162,6 @@ let pp ppf t =
     (faults t);
   Format.fprintf ppf "@]"
 
-let pp_compact ppf t =
-  Format.fprintf ppf "op#%d p%d:" t.op_index t.origin;
-  List.iter (fun e -> Format.fprintf ppf " %d>%d" e.src e.dst) (events t)
-
 let pp_lanes ppf t =
   let procs = processors t in
   let lane_width = 8 in

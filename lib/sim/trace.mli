@@ -113,9 +113,6 @@ val pp : Format.formatter -> t -> unit
 (** Render the process as an arrow diagram, one message per line
     ("[3 -(inc)-> 17 @t=1.0]"), in the spirit of the paper's Fig. 1. *)
 
-val pp_compact : Format.formatter -> t -> unit
-(** One-line rendering: origin and [src->dst] chain. *)
-
 val pp_lanes : Format.formatter -> t -> unit
 (** Message-sequence chart: one column per involved processor, one row
     per message, arrows drawn between the sender's and receiver's lanes —
