@@ -1,10 +1,4 @@
-type t =
-  | Completes
-  | Quorum_live
-  | Live_origins
-  | Durable
-  | Agreement
-  | Splits
+type t = Completes | Quorum_live | Live_origins | Durable | Agreement | Splits
 
 type row = {
   plan : Sim.Fault.t;
@@ -21,8 +15,6 @@ let mentions ~sub s =
 
 let agreement_stall = mentions ~sub:"agreement"
 
-let spec_prefix = "spec: "
-
 let rec first_repeat = function
   | a :: (b :: _ as rest) -> if a = b then Some a else first_repeat rest
   | _ -> None
@@ -33,22 +25,18 @@ let check promise r =
   let values =
     List.filter_map (fun (o, _) -> Counter_intf.outcome_value o) r.outcomes
   in
-  let stalls =
+  (* Stall reasons, all of them or only those whose origin was still alive
+     when the operation ended: an origin crashing mid-operation can never
+     see its own answer. *)
+  let reasons keep =
     List.filter_map
       (function
-        | Counter_intf.Stalled reason, alive -> Some (reason, alive)
-        | Counter_intf.Completed _, _ -> None)
+        | Counter_intf.Stalled s, alive when keep alive -> Some s | _ -> None)
       r.outcomes
   in
-  (* Stall reasons whose origin was still alive when the operation ended:
-     an origin crashing mid-operation can never see its own answer. *)
-  let live =
-    List.filter_map (fun (s, alive) -> if alive then Some s else None) stalls
-  in
+  let stalls = reasons (fun _ -> true) and live = reasons Fun.id in
   let completed = List.length values in
-  let agree =
-    List.length (List.filter (fun (s, _) -> agreement_stall s) stalls)
-  in
+  let agree = List.length (List.filter agreement_stall stalls) in
   let lossless =
     Float.equal r.plan.drop 0. && Float.equal r.plan.duplicate 0.
   in
@@ -83,13 +71,9 @@ let check promise r =
       if completed > r.value then
         fail "%d acks but durable count %d" completed r.value;
       Option.iter
-        (fun (s, _) ->
-          fail "spec violation: %s"
-            (String.sub s (String.length spec_prefix)
-               (String.length s - String.length spec_prefix)))
-        (List.find_opt
-           (fun (s, _) -> String.starts_with ~prefix:spec_prefix s)
-           stalls)
+        (fun s ->
+          fail "spec violation: %s" (String.sub s 6 (String.length s - 6)))
+        (List.find_opt (String.starts_with ~prefix:"spec: ") stalls)
   | Agreement ->
       (* A crash or a lost message can starve a full-reception round, so
          only a plan whose faults are all Byzantine turns is held to it. *)

@@ -1,12 +1,7 @@
-(** What a counter promises under a fault plan, stated once.
-
-    [dcount chaos --check] runs a counter under a sweep of plans (crash ×
-    drop cells, or Byzantine turn counts) and holds every row to the
-    counter's promise ({!Baselines.Registry.promise}). A rule is a pure
-    function of one row, so the tests can probe each one on synthetic
-    rows.
-
-    Every promise includes {!Completes}: a row under {!Sim.Fault.none}
+(** What a counter promises under a fault plan, stated once: the rules
+    [dcount chaos --check] holds each sweep row to, as a pure function of
+    the row. {!Baselines.Registry.promise} names each counter's. Every
+    promise includes {!Completes}: a row under {!Sim.Fault.none}
     completes every operation asked. *)
 
 type t =
@@ -43,9 +38,8 @@ type row = {
 }
 
 val check : t -> row -> string list
-(** The promise's violations on one row, in the order the rules are
-    listed above ([[]] when it holds). Each rule reports at most once per
-    row. *)
+(** The row's violations of the promise, the fault-free rule's first;
+    [[]] when it holds. *)
 
 val agreement_stall : string -> bool
 (** Whether a stall reason reports an agreement violation. *)

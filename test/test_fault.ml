@@ -652,43 +652,52 @@ let crashes ?(extra = []) k =
     (String.concat "/"
        (List.init k (fun i -> Printf.sprintf "crash:%d@0" (i + 1)) @ extra))
 
-let fires promise r = P.check promise r <> []
+(* Each rule past its boundary and at it: (case, promise, row, whether
+   the row breaks the promise). *)
+let promise_cases =
+  let live = [ acked 0; stalled "Quorum_counter.inc: gave up" ]
+  and dead = [ acked 0; stalled ~alive:false "no value returned" ]
+  and names_origin = [ acked 0; stalled "Retire_ft.inc: origin crashed" ]
+  and split = [ acked 0; stalled "spec: agreement violated: replica 1" ]
+  and turned b = Core.Sync_counter.king_plan ~n:7 ~b in
+  let drop k = crashes ~extra:[ "drop:0.1" ] k
+  and dup k = crashes ~extra:[ "dup:0.01" ] k in
+  (* n = 9: (n - 1) / 2 = 4 crashes is the last row Quorum_live covers. *)
+  P.
+    [
+      ("quorum: 4 of 9 down", Quorum_live, row ~plan:(crashes 4) live, true);
+      ("quorum: 5 of 9 down", Quorum_live, row ~plan:(crashes 5) live, false);
+      ("quorum: drop 0.1", Quorum_live, row ~plan:(drop 4) live, false);
+      ("quorum: dup > 0", Quorum_live, row ~plan:(dup 4) live, false);
+      ("quorum: origin died", Quorum_live, row ~plan:(crashes 4) dead, false);
+      ( "quorum: reason names the origin",
+        Quorum_live,
+        row ~plan:(crashes 1) names_origin,
+        true );
+      ( "retire-ft: reason names the origin",
+        Live_origins,
+        row ~plan:(crashes 1) names_origin,
+        false );
+      ("retire-ft: live", Live_origins, row ~plan:(crashes 8) live, true);
+      ("retire-ft: drop 0.1", Live_origins, row ~plan:(drop 8) live, false);
+      ("retire-ft: dup > 0", Live_origins, row ~plan:(dup 8) live, false);
+      ("retire-ft: dead", Live_origins, row ~plan:(crashes 8) dead, false);
+      ("agreement: b = f", Agreement, row ~n:7 ~plan:(turned 2) split, true);
+      ("agreement: b > f", Agreement, row ~n:7 ~plan:(turned 3) split, false);
+      ("agreement: a crash", Agreement, row ~n:7 ~plan:(crashes 1) live, false);
+      ( "splits: b = 1, no agreement stall",
+        Splits,
+        row ~n:7 ~plan:(turned 1) [ acked 0; acked 1 ],
+        true );
+      ("splits: b = 1, split", Splits, row ~n:7 ~plan:(turned 1) split, false);
+      ("splits: b = 0", Splits, row ~n:7 [ acked 0; acked 1 ], false);
+    ]
 
-let test_promise_quorum_live () =
-  let live = [ acked 0; stalled "Quorum_counter.inc: gave up" ] in
-  (* n = 9: (n - 1) / 2 = 4 crashes is the last row the promise covers. *)
-  check Alcotest.bool "fires at (n-1)/2 crashes" true
-    (fires Quorum_live (row ~plan:(crashes 4) live));
-  check Alcotest.bool "quiet at (n+1)/2 crashes" false
-    (fires Quorum_live (row ~plan:(crashes 5) live));
-  check Alcotest.bool "quiet at drop 0.1" false
-    (fires Quorum_live (row ~plan:(crashes ~extra:[ "drop:0.1" ] 4) live));
-  check Alcotest.bool "quiet at dup > 0" false
-    (fires Quorum_live (row ~plan:(crashes ~extra:[ "dup:0.01" ] 4) live));
-  check Alcotest.bool "quiet when the origin died" false
-    (fires Quorum_live
-       (row ~plan:(crashes 4) [ acked 0; stalled ~alive:false "gave up" ]))
-
-let test_promise_live_origins () =
-  let names_origin =
-    row ~plan:(crashes 1)
-      [ acked 0; stalled "Retire_ft.inc: origin crashed mid-operation" ]
-  in
-  check Alcotest.bool "origin-naming live stall fires Quorum_live" true
-    (fires Quorum_live names_origin);
-  check Alcotest.bool "origin-naming live stall excused by Live_origins" false
-    (fires Live_origins names_origin);
-  let hard = [ acked 0; stalled "Retire_ft.inc: no value returned" ] in
-  check Alcotest.bool "other live stall fires" true
-    (fires Live_origins (row ~plan:(crashes 8) hard));
-  check Alcotest.bool "quiet at drop 0.1" false
-    (fires Live_origins (row ~plan:(crashes ~extra:[ "drop:0.1" ] 8) hard));
-  check Alcotest.bool "quiet at dup > 0" false
-    (fires Live_origins (row ~plan:(crashes ~extra:[ "dup:0.01" ] 8) hard));
-  check Alcotest.bool "quiet when the origin died" false
-    (fires Live_origins
-       (row ~plan:(crashes 8)
-          [ acked 0; stalled ~alive:false "no value returned" ]))
+let test_promise_rules () =
+  List.iter
+    (fun (case, promise, r, broken) ->
+      check Alcotest.bool case broken (P.check promise r <> []))
+    promise_cases
 
 let test_promise_durable () =
   let durable ~value outcomes =
@@ -711,25 +720,6 @@ let test_promise_durable () =
     (durable ~value:4
        [ acked 0; acked 1; stalled ~alive:false "origin crashed"; acked 3 ])
 
-let test_promise_agreement () =
-  let n = 7 in
-  let f = (n - 1) / 3 in
-  let turned b = Core.Sync_counter.king_plan ~n ~b in
-  let split = [ acked 0; stalled "spec: agreement violated: replica 1" ] in
-  check Alcotest.bool "fires at b = f" true
-    (fires Agreement (row ~n ~plan:(turned f) split));
-  check Alcotest.bool "quiet at b = f + 1" false
-    (fires Agreement (row ~n ~plan:(turned (f + 1)) split));
-  check Alcotest.bool "quiet under a crash" false
-    (fires Agreement
-       (row ~n ~plan:(crashes 1) [ acked 0; stalled "sync round incomplete" ]));
-  check Alcotest.bool "Splits fires at b >= 1 with no agreement stall" true
-    (fires Splits (row ~n ~plan:(turned 1) [ acked 0; acked 1 ]));
-  check Alcotest.bool "Splits quiet at b >= 1 with an agreement stall" false
-    (fires Splits (row ~n ~plan:(turned 1) split));
-  check Alcotest.bool "Splits quiet at b = 0" false
-    (fires Splits (row ~n [ acked 0; acked 1 ]))
-
 let test_promise_fault_free () =
   List.iter
     (fun promise ->
@@ -738,34 +728,26 @@ let test_promise_fault_free () =
            (P.check promise
               (row ~value:1 [ acked 0; stalled "no value returned" ])));
       check Alcotest.bool "fault-free skipped op fires" true
-        (fires promise (row ~ops:2 ~value:1 [ acked 0 ]));
+        (P.check promise (row ~ops:2 ~value:1 [ acked 0 ]) <> []);
       check Alcotest.(list string) "fault-free row that completes" []
         (P.check promise (row ~n:7 ~value:2 [ acked 0; acked 1 ])))
     [ Completes; Quorum_live; Live_origins; Durable; Agreement; Splits ]
 
 let test_registry_promise () =
-  let name = function
-    | P.Completes -> "Completes"
-    | Quorum_live -> "Quorum_live"
-    | Live_origins -> "Live_origins"
-    | Durable -> "Durable"
-    | Agreement -> "Agreement"
-    | Splits -> "Splits"
-  in
   List.iter
     (fun (counter, expected) ->
-      check Alcotest.string counter expected
-        (name (Baselines.Registry.promise counter)))
-    [
-      ("retire-ft", "Live_origins");
-      ("durable", "Durable");
-      ("sync-count", "Agreement");
-      ("sync-no-threshold", "Splits");
-      ("quorum-majority", "Quorum_live");
-      ("quorum-projective-plane", "Quorum_live");
-      ("central", "Completes");
-      ("retire-tree", "Completes");
-    ]
+      check Alcotest.bool counter true
+        (Baselines.Registry.promise counter = expected))
+    P.
+      [
+        ("retire-ft", Live_origins);
+        ("durable", Durable);
+        ("sync-count", Agreement);
+        ("sync-no-threshold", Splits);
+        ("quorum-majority", Quorum_live);
+        ("quorum-projective-plane", Quorum_live);
+        ("central", Completes);
+      ]
 
 let () =
   Alcotest.run "fault"
@@ -826,11 +808,9 @@ let () =
         ] );
       ( "promises",
         [
-          Alcotest.test_case "quorum live" `Quick test_promise_quorum_live;
-          Alcotest.test_case "live origins" `Quick test_promise_live_origins;
+          Alcotest.test_case "rules at their boundaries" `Quick
+            test_promise_rules;
           Alcotest.test_case "durable" `Quick test_promise_durable;
-          Alcotest.test_case "agreement and splits" `Quick
-            test_promise_agreement;
           Alcotest.test_case "fault-free row" `Quick test_promise_fault_free;
           Alcotest.test_case "registry" `Quick test_registry_promise;
         ] );
