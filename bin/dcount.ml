@@ -502,11 +502,11 @@ let chaos_cmd =
        horizons crash triggers are drawn from. *)
     let sweep (type c) (module C : Counter.Counter_intf.S with type t = c)
         (replays : c -> int option) =
-      let run plan =
+      let run_under plan =
         let c = C.create ~seed ?delay ~faults:plan ~n () in
         (c, run_ops (module C) c ~n ~ops)
       in
-      let baseline, _ = run Sim.Fault.none in
+      let baseline, _ = run_under Sim.Fault.none in
       let base_m = C.metrics baseline in
       let base_total = Sim.Metrics.total_messages base_m in
       let base_bproc, base_bload = Sim.Metrics.bottleneck base_m in
@@ -555,7 +555,7 @@ let chaos_cmd =
       let failures = ref [] in
       List.iter
         (fun (key, label, plan) ->
-          let c, outcomes = run plan in
+          let c, outcomes = run_under plan in
           let m = C.metrics c and value = C.value c in
           let total = Sim.Metrics.total_messages m in
           let bproc, bload = Sim.Metrics.bottleneck m in
