@@ -376,7 +376,7 @@ let load_section ~smoke =
     List.concat_map
       (fun name ->
         let c =
-          match Baselines.Registry.find_concurrent name with
+          match Baselines.Registry.find name with
           | Some c -> c
           | None -> failwith ("load benchmark: unknown counter " ^ name)
         in

@@ -299,20 +299,13 @@ let load_cmd =
     in
     Arg.conv (parse, Sim.Arrivals.pp)
   in
-  let run name n seed delay faults rate arrivals ops check =
+  let run counter n seed delay faults rate arrivals ops check =
     if ops < 1 then begin
       Format.eprintf "dcount load: --ops must be >= 1@.";
       exit 2
     end;
-    let counter =
-      match Baselines.Registry.find_concurrent name with
-      | Some c -> c
-      | None ->
-          Format.eprintf "dcount load: unknown counter %S (try: %s)@." name
-            (String.concat ", " (Baselines.Registry.names ()));
-          exit 2
-    in
-    guard_byz_plan "load" name faults;
+    (let (module C : Counter.Counter_intf.S) = counter in
+     guard_byz_plan "load" C.name faults);
     let arrivals =
       match (arrivals, rate) with
       | Some _, Some _ ->
@@ -359,14 +352,6 @@ let load_cmd =
       Format.printf "load check: OK@."
     end
   in
-  let name_arg =
-    Arg.(
-      value & opt string "retire-tree"
-      & info [ "c"; "counter" ] ~docv:"NAME"
-          ~doc:
-            "Counter implementation (see the list in the error message for \
-             an unknown name).")
-  in
   let rate_arg =
     Arg.(
       value
@@ -407,7 +392,7 @@ let load_cmd =
           latency percentiles and linearizability / quiescent-consistency \
           verdicts over the concurrent history (docs/LOAD.md).")
     Term.(
-      const run $ name_arg $ n_arg $ seed_arg $ delay_arg $ faults_arg
+      const run $ counter_arg $ n_arg $ seed_arg $ delay_arg $ faults_arg
       $ rate_arg $ arrivals_arg $ ops_arg $ check_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -479,6 +464,14 @@ let chaos_cmd =
           exit 2
         end)
       (("--dup", dup) :: List.map (fun d -> ("--drops", d)) drop_rates);
+    List.iter
+      (fun (flag, k) ->
+        if k < 0 then begin
+          Format.eprintf "dcount chaos: %s %d is negative@." flag k;
+          exit 2
+        end)
+      (List.map (fun c -> ("--crashes", c)) crash_counts
+      @ List.map (fun b -> ("--byz-counts", b)) byz_counts);
     let (module K : Counter.Counter_intf.S) = counter in
     if byz && not (List.mem K.name byz_capable) then begin
       Format.eprintf

@@ -11,4 +11,4 @@
     permutation check. Registered in {!Registry.broken}, never in
     {!Registry.all}. *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S

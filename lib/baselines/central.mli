@@ -13,7 +13,7 @@
     [2(n-1)] = Theta(n), the message count is globally optimal, and the
     bottleneck is maximal — the anchor point of experiment E5. *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S
 (** Open-loop concurrency is natural here: the holder serves requests in
     delivery order, allocating values monotonically in virtual time, so
     the central counter stays linearizable at any load — it just pays

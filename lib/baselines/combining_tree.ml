@@ -210,8 +210,6 @@ include Counter.Host.Make (Protocol)
 
 let combined_requests t = (core t).Protocol.combined
 
-let uncombined_requests t = (core t).Protocol.uncombined
-
 let combining_rate t =
   let c = core t in
   let total = c.Protocol.combined + c.Protocol.uncombined in

@@ -27,9 +27,6 @@ type t
 val combined_requests : t -> int
 (** Requests absorbed into a sibling's request (never travelled up). *)
 
-val uncombined_requests : t -> int
-(** Requests forwarded upward alone after the window expired. *)
-
 val combining_rate : t -> float
 (** [combined / (combined + uncombined)], 0 if no traffic. *)
 
@@ -40,7 +37,7 @@ val run_batch : t -> origins:int list -> (int * int) list
     [Invalid_argument] on an empty batch, an origin out of range or an
     origin listed twice. *)
 
-include Counter.Counter_intf.CONCURRENT with type t := t
+include Counter.Counter_intf.S with type t := t
 (** Combining is the regime the tree was designed for, and the open-loop
     path keeps it linearizable: the root allocates value blocks
     monotonically in virtual time, and every operation's allocation

@@ -93,7 +93,7 @@ val run_batch_timed :
     linearizability experiment, where moderate stagger makes the
     network's famous non-linearizability observable. *)
 
-include Counter.Counter_intf.CONCURRENT with type t := t
+include Counter.Counter_intf.S with type t := t
 (** [create ~n] picks [width] = the largest power of two [<= sqrt n]
     (at least 2 for [n > 1]): wide enough to spread load, small enough
     that balancers stay busy.

@@ -60,7 +60,7 @@ val run_batch_timed :
 (** {!run_batch} with staggered injection and full intervals, for the
     E20 linearizability experiment. *)
 
-include Counter.Counter_intf.CONCURRENT with type t := t
+include Counter.Counter_intf.S with type t := t
 (** [create ~n] uses the same default width as the counting network
     (largest power of two [<= sqrt n]).
 

@@ -7,4 +7,4 @@
     it — the oswald spec monitor flags the rewrite, and the stored
     counterexample in [test/data] replays it deterministically. *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S

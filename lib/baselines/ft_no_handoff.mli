@@ -6,4 +6,4 @@
     adversary and the chaos harness actually detect state loss (the
     stored counterexample in [test/data] replays it deterministically). *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S

@@ -3,7 +3,7 @@
     {!Counting_network}'s protocol core over the periodic balancer
     network. *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S
 
 val run_batch : t -> origins:int list -> (int * int) list
 (** As {!Counting_network.run_batch}. *)

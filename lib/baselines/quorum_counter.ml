@@ -77,8 +77,7 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
       mutable stamps : int;  (* round stamps handed out so far *)
       mutable ops : int;
       mutable stall : string option;  (* why the last operation gave up *)
-      mutable retries : int;  (* observer tallies *)
-      mutable fallbacks : int;
+      mutable retries : int;  (* observer tally *)
     }
 
     let name = "quorum-" ^ Q.name
@@ -139,7 +138,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
           op.members <- members;
           op.fallback <- false
       | None ->
-          t.fallbacks <- t.fallbacks + 1;
           op.members <- List.init t.n (fun i -> i + 1);
           op.fallback <- true
 
@@ -316,7 +314,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
         ops = 0;
         stall = None;
         retries = 0;
-        fallbacks = 0;
       }
 
     let net t = t.net
@@ -376,8 +373,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
   let quorum_size t = Q.quorum_size (core t).Protocol.system
 
   let retries t = (core t).Protocol.retries
-
-  let fallbacks t = (core t).Protocol.fallbacks
 end
 
 module Over_majority = Make (Quorum.Majority)

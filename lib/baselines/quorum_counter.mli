@@ -46,7 +46,7 @@
     docs/FAULTS.md). *)
 
 module Make (_ : Quorum.Quorum_intf.S) : sig
-  include Counter.Counter_intf.CONCURRENT
+  include Counter.Counter_intf.S
   (** Every operation — closed-loop, batch member or open-loop — runs on
       its own client record, matched to replies by round stamp, so the
       closed and the open loop are one client. Every round an operation
@@ -69,17 +69,14 @@ module Make (_ : Quorum.Quorum_intf.S) : sig
 
   val retries : t -> int
   (** Timed-out quorum attempts that were retried (all operations). *)
-
-  val fallbacks : t -> int
-  (** Times the client resorted to the ask-everyone majority fallback. *)
 end
 
-module Over_majority : Counter.Counter_intf.CONCURRENT
+module Over_majority : Counter.Counter_intf.S
 
-module Over_grid : Counter.Counter_intf.CONCURRENT
+module Over_grid : Counter.Counter_intf.S
 
-module Over_tree : Counter.Counter_intf.CONCURRENT
+module Over_tree : Counter.Counter_intf.S
 
-module Over_wall : Counter.Counter_intf.CONCURRENT
+module Over_wall : Counter.Counter_intf.S
 
-module Over_plane : Counter.Counter_intf.CONCURRENT
+module Over_plane : Counter.Counter_intf.S

@@ -18,4 +18,4 @@
 
     Registered in {!Registry.broken}, never in {!Registry.all}. *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S

@@ -1,15 +1,9 @@
 (** Central catalogue of every distributed-counter implementation in the
     repository, for the CLI, experiments and tests. Each counter module is
-    listed once. Every counter is hosted by {!Counter.Host}, so every one
-    also implements the open-loop {!Counter.Counter_intf.CONCURRENT}
-    interface. *)
+    listed once. *)
 
 val all : Counter.Counter_intf.counter list
 (** Every {e correct} counter, the paper's first. *)
-
-val concurrent_all : Counter.Counter_intf.concurrent list
-(** {!all} in the open-loop {!Counter.Counter_intf.CONCURRENT} view, in
-    the same order. *)
 
 val retire_tree : Counter.Counter_intf.counter
 (** The paper's counter ({!Core.Retire_counter}). *)
@@ -63,6 +57,6 @@ val promise : string -> Counter.Promise.t
 val names : unit -> string list
 (** Names of {!all} (the broken counters are not listed). *)
 
-val find_concurrent : string -> Counter.Counter_intf.concurrent option
-(** {!find} in the open-loop view: resolves every name {!find}
-    resolves. *)
+val find_concurrent : string -> Counter.Counter_intf.counter option
+(** {!find}, under the name benchmark/ still uses; the benchmark step of
+    ROADMAP item 1 deletes it. *)

@@ -13,7 +13,7 @@
     threshold, so any behavioural difference between the two counters is
     attributable to retirement alone. *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S
 
 val run_batch : t -> origins:int list -> (int * int) list
 (** As {!Core.Retire_counter.run_batch}. *)

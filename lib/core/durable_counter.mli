@@ -43,7 +43,7 @@ end
 (** The protocol core, for counters that host it in another configuration
     ({!Baselines.Durable_no_cas}). *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S
 (** Open-loop operations run one after another (see
     {!Counter.Counter_intf.CORE.serialising}): the writer's pipeline
     serves one increment at a time, so a backlog shows up as latency. *)

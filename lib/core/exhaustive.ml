@@ -62,7 +62,8 @@ let permutations n =
          n max_permutation_n);
   perm_seq n
 
-let verify_counter ?(seed = 42) ?limit (module C : Counter.Counter_intf.S) ~n =
+let verify_counter ?(seed = 42) ?limit counter ~n =
+  let (module C : Counter.Counter_intf.S) = counter in
   let n = C.supported_n n in
   (if n > 9 && limit = None then
      invalid_arg "Exhaustive.verify_counter: n! too large; pass ~limit");
@@ -80,23 +81,17 @@ let verify_counter ?(seed = 42) ?limit (module C : Counter.Counter_intf.S) ~n =
       }
   in
   let check order =
-    let counter = C.create ~seed ~n () in
-    let correct =
-      List.for_all2
-        (fun origin expected -> C.inc counter ~origin = expected)
-        order
-        (List.init n Fun.id)
+    let r =
+      Counter.Driver.run ~seed counter ~n
+        ~schedule:(Counter.Schedule.Explicit order)
     in
-    let hotspot = Counter.Hotspot.holds (C.traces counter) in
-    let metrics = C.metrics counter in
-    let _, bottleneck = Sim.Metrics.bottleneck metrics in
-    let messages = Sim.Metrics.total_messages metrics in
+    let bottleneck = r.bottleneck_load and messages = r.total_messages in
     let s = !stats in
     stats :=
       {
         orders = s.orders + 1;
-        all_correct = s.all_correct && correct;
-        all_hotspot = s.all_hotspot && hotspot;
+        all_correct = s.all_correct && r.values_exact && r.sequentially_ordered;
+        all_hotspot = s.all_hotspot && r.hotspot_ok;
         all_bound =
           s.all_bound
           && Lower_bound.satisfied_by ~n ~bottleneck_load:bottleneck;

@@ -46,9 +46,10 @@ val verify_counter :
   Counter.Counter_intf.counter ->
   n:int ->
   stats
-(** Run every each-once order (or the first [limit], default all) against
-    a fresh counter and aggregate the checks. Raises [Invalid_argument]
-    if [n > 9] with no limit (10! executions is past the point of
-    politeness). *)
+(** Run every each-once order (or the first [limit], default all) through
+    {!Counter.Driver.run} as an explicit schedule and aggregate the
+    report's checks; an order with a stalled operation is not correct.
+    Raises [Invalid_argument] if [n > 9] with no limit (10! executions is
+    past the point of politeness). *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -1,7 +1,5 @@
 let k_of_n = Params.k_of_n_floor
 
-let k_of_n_continuous = Params.k_continuous
-
 let satisfied_by ~n ~bottleneck_load = n < 2 || bottleneck_load >= k_of_n n
 
 let pp_table ppf ns =
@@ -9,6 +7,6 @@ let pp_table ppf ns =
   List.iter
     (fun n ->
       Format.fprintf ppf "%8d %6d %12.3f@," n (k_of_n n)
-        (k_of_n_continuous (float_of_int n)))
+        (Params.k_continuous (float_of_int n)))
     ns;
   Format.fprintf ppf "@]"

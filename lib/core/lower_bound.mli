@@ -16,9 +16,6 @@ val k_of_n : int -> int
 (** The integer [k] of the theorem: the largest [k >= 1] with
     [k * k^k <= n]. *)
 
-val k_of_n_continuous : float -> float
-(** Real-valued [k] for smooth theory curves. *)
-
 val satisfied_by : n:int -> bottleneck_load:int -> bool
 (** [satisfied_by ~n ~bottleneck_load] — does a measured run obey the
     bound [m_b >= k]? Every correct counter implementation must satisfy

@@ -134,7 +134,7 @@ val run_batch_timed :
 
 (** {1 The counter interface} *)
 
-include Counter.Counter_intf.CONCURRENT with type t := t
+include Counter.Counter_intf.S with type t := t
 (** [create ~n] requires [n = k^(k+1)] for some [k] (use [supported_n] to
     round up); it uses {!paper_config}.
 

@@ -117,7 +117,7 @@ val last_attempts : t -> int
 
 (** {1 The counter interface} *)
 
-include Counter.Counter_intf.CONCURRENT with type t := t
+include Counter.Counter_intf.S with type t := t
 (** [create ~n] requires [n = k^(k+1)] for some [k] (use [supported_n] to
     round up); it uses {!paper_config}. [inc] raises
     {!Counter.Counter_intf.Stall} — with the stalling reason — when the

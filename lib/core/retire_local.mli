@@ -33,7 +33,7 @@
     and near-identical message counts (they differ only through
     multi-hop stale forwarding and handshake buffering). *)
 
-include Counter.Counter_intf.CONCURRENT
+include Counter.Counter_intf.S
 
 val create_with :
   ?seed:int -> ?delay:Sim.Delay.t -> ?faults:Sim.Fault.t -> Retire_counter.config -> t

@@ -65,7 +65,7 @@ val correct : t -> int -> bool
 (** Whether a processor is currently neither crashed nor Byzantine —
     the population the agreement oracle quantifies over. *)
 
-include Counter.Counter_intf.CONCURRENT with type t := t
+include Counter.Counter_intf.S with type t := t
 (** [create ~n] requires [n >= 4] (so [f >= 1]; use [supported_n]).
     [inc] raises {!Counter.Counter_intf.Stall} on an agreement violation
     (["spec: agreement violated"], impossible with the guard at

@@ -25,6 +25,28 @@ exception Stall of string
     returned", ...). The counter stays quiescent and usable: later
     operations from surviving processors may still complete. *)
 
+(* The text after the first [sub] in [s]. *)
+let after ~sub s =
+  let ls = String.length s and lsub = String.length sub in
+  let rec go i =
+    if i + lsub > ls then None
+    else if String.sub s i lsub = sub then
+      Some (String.sub s (i + lsub) (ls - i - lsub))
+    else go (i + 1)
+  in
+  go 0
+
+let contains ~sub s = Option.is_some (after ~sub s)
+(** Whether [sub] occurs in [s]: how checkers read stall reasons
+    (["origin"], ["gave up"], ["agreement"]). *)
+
+let spec_violation = after ~sub:"spec: "
+(** The property a stall reason reports violated: the text after its
+    ["spec: "] tag, wherever a counter's prefix put the tag (the WAL
+    monitor's ["Durable_counter.inc: spec: manifest-monotonicity: ..."],
+    the phase king's ["spec: agreement violated: ..."]). [None] for an
+    ordinary stall. *)
+
 type outcome = Completed of int | Stalled of string
 (** Result of one increment under faults: the value returned, or the
     stall reason. *)
@@ -95,38 +117,31 @@ module type S = sig
   (** Deep copy of the quiescent counter state (same future behaviour).
       Used by the lower-bound adversary to evaluate hypothetical
       operations without committing them. *)
-end
 
-type counter = (module S)
+  (** {2 Open loop}
 
-(** {1 Open-loop concurrency}
+      The paper's "enough time elapses between operations" assumption is
+      what {!inc}'s run-to-quiescence encodes. The open loop drops it:
+      operations are {e injected} at arrival times drawn from an
+      open-loop process ({!Sim.Arrivals}) without waiting for earlier
+      operations, and completions are matched back by an explicit
+      operation id — an origin may have many operations in flight at
+      once, so origin alone cannot pair requests with replies.
 
-    The paper's "enough time elapses between operations" assumption is
-    what {!S.inc}'s run-to-quiescence encodes. [CONCURRENT] adds the open
-    loop: operations are {e injected} at arrival times drawn from an
-    open-loop process ({!Sim.Arrivals}) without waiting for earlier
-    operations, and completions are matched back by an explicit
-    operation id — an origin may have many operations in flight at once,
-    so origin alone cannot pair requests with replies. Every counter
-    built with {!Host} implements it.
-
-    Protocol contract: {!CONCURRENT.launch_at} is called once per
-    operation, in non-decreasing [at] order with distinct [op] ids
-    [>= 0], all before {!CONCURRENT.run_open}. A genuinely concurrent
-    protocol schedules each injection as a local timer on its own
-    network and lets one {!Sim.Network.run_to_quiescence} drain
-    everything; no per-operation traces are recorded for overlapping
-    operations (trace bracketing assumes one operation at a time), but
-    metrics still accumulate. A serialising protocol (the paper's retire
-    tree, {!CORE.serialising}) instead serves each arrival to
-    completion inside [launch_at], as one traced closed-loop operation
-    that starts at its arrival time or as soon as the previous operation
-    finished, whichever is later — so an operation may start after its
-    arrival, and queueing delay shows up in its completion time, which
-    is exactly the honest cost of serialisation. *)
-
-module type CONCURRENT = sig
-  include S
+      Protocol contract: {!launch_at} is called once per operation, in
+      non-decreasing [at] order with distinct [op] ids [>= 0], all before
+      {!run_open}. A genuinely concurrent protocol schedules each
+      injection as a local timer on its own network and lets one
+      {!Sim.Network.run_to_quiescence} drain everything; no per-operation
+      traces are recorded for overlapping operations (trace bracketing
+      assumes one operation at a time), but metrics still accumulate. A
+      serialising protocol (the paper's retire tree,
+      {!CORE.serialising}) instead serves each arrival to completion
+      inside [launch_at], as one traced closed-loop operation that starts
+      at its arrival time or as soon as the previous operation finished,
+      whichever is later — so an operation may start after its arrival,
+      and queueing delay shows up in its completion time, which is
+      exactly the honest cost of serialisation. *)
 
   val launch_at : t -> op:int -> origin:int -> at:float -> unit
   (** Inject operation [op] from [origin] at virtual time [at]
@@ -142,7 +157,13 @@ module type CONCURRENT = sig
       here were lost to faults. *)
 end
 
-type concurrent = (module CONCURRENT)
+type counter = (module S)
+
+(* Kept for benchmark/, which names the open-loop view by these; the
+   benchmark step of ROADMAP item 1 deletes them. *)
+module type CONCURRENT = S
+
+type concurrent = counter
 
 (** {1 Protocol cores}
 
@@ -150,8 +171,8 @@ type concurrent = (module CONCURRENT)
     state, the handler the network calls on each delivery, how an
     operation starts at its origin, and how a closed-loop operation ends.
     The scheduler stays outside the core (Aspnes' state-machine view of a
-    message-passing protocol); {!Host.Make} derives the whole
-    {!CONCURRENT} counter from it.
+    message-passing protocol); {!Host.Make} derives the whole {!S}
+    counter from it.
 
     The host starts an operation with [start ~reply ~op ~origin] and the
     core reports each value it hands out with [reply ~op v]. [op] is [-1]

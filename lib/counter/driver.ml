@@ -152,8 +152,8 @@ type load_report = {
   average_load : float;
 }
 
-let run_load ?(seed = 42) ?delay ?faults (module C : Counter_intf.CONCURRENT)
-    ~n ~arrivals ~ops =
+let run_load ?(seed = 42) ?delay ?faults (module C : Counter_intf.S) ~n
+    ~arrivals ~ops =
   if ops < 1 then invalid_arg "Driver.run_load: ops must be >= 1";
   let n = C.supported_n n in
   let counter = C.create ?delay ?faults ~seed ~n () in

@@ -133,7 +133,7 @@ val run_load :
   ?seed:int ->
   ?delay:Sim.Delay.t ->
   ?faults:Sim.Fault.t ->
-  Counter_intf.concurrent ->
+  Counter_intf.counter ->
   n:int ->
   arrivals:Sim.Arrivals.t ->
   ops:int ->

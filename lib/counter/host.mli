@@ -1,11 +1,11 @@
 (** One host for every counter: {!Make} turns a protocol core
-    ({!Counter_intf.CORE}) into the full {!Counter_intf.CONCURRENT}
+    ({!Counter_intf.CORE}) into the full {!Counter_intf.S}
     counter. Origin checks, the per-operation trace bracket, closed-loop
     [inc], open-loop [launch_at]/[run_open]/[completions], batches,
     [clone] and handler installation are written once, here. *)
 
 module Make (C : Counter_intf.CORE) : sig
-  include Counter_intf.CONCURRENT
+  include Counter_intf.S
 
   val host : C.t -> t
   (** Host a core built by one of its own constructors (a non-default

@@ -8,12 +8,7 @@ type row = {
   value : int;
 }
 
-let mentions ~sub s =
-  let ls = String.length s and lsub = String.length sub in
-  let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
-  go 0
-
-let agreement_stall = mentions ~sub:"agreement"
+let agreement_stall = Counter_intf.contains ~sub:"agreement"
 
 let rec first_repeat = function
   | a :: (b :: _ as rest) -> if a = b then Some a else first_repeat rest
@@ -51,7 +46,9 @@ let check promise r =
         fail "%d live-origin stalls with %d crashes (f < n/2 must complete)"
           (List.length live) crashes
   | Live_origins ->
-      let hard = List.filter (fun s -> not (mentions ~sub:"origin" s)) live in
+      let hard =
+        List.filter (fun s -> not (Counter_intf.contains ~sub:"origin" s)) live
+      in
       if lossless && hard <> [] then
         fail
           "%d non-origin stalls with %d crashes (crashes below the overflow \
@@ -71,9 +68,8 @@ let check promise r =
       if completed > r.value then
         fail "%d acks but durable count %d" completed r.value;
       Option.iter
-        (fun s ->
-          fail "spec violation: %s" (String.sub s 6 (String.length s - 6)))
-        (List.find_opt (String.starts_with ~prefix:"spec: ") stalls)
+        (fail "spec violation: %s")
+        (List.find_map Counter_intf.spec_violation stalls)
   | Agreement ->
       (* A crash or a lost message can starve a full-reception round, so
          only a plan whose faults are all Byzantine turns is held to it. *)

@@ -17,8 +17,9 @@ type t =
   | Durable
       (** The WAL-backed counter loses no acked increment: no value is
           acked twice, every acked value is below the final (durable)
-          value, there are no more acks than that value, and no operation
-          stalls with a ["spec: "] reason (the WAL monitor's). *)
+          value, there are no more acks than that value, and no stall
+          reason carries the WAL monitor's ["spec: "] tag
+          ({!Counter_intf.spec_violation}). *)
   | Agreement
       (** sync-count: under a plan whose only faults are Byzantine turns,
           at most [f = (n - 1) / 3] of them, every operation completes

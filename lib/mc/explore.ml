@@ -266,28 +266,26 @@ let values_monotonic values =
   Array.iteri (fun i v -> if i > 0 && v <= values.(i - 1) then ok := false) values;
   !ok
 
-let contains ~sub s =
-  let ls = String.length sub and l = String.length s in
-  let rec go i = i + ls <= l && (String.sub s i ls = sub || go (i + 1)) in
-  go 0
-
-(* A ["spec: ..."] stall is a durability-spec violation the runtime
-   monitor (Core.Wal.Monitor) detected against the store's actual
-   history; map its prefix to the matching checker property. *)
+(* A ["spec: ..."] stall is a spec violation a runtime monitor detected
+   (Core.Wal.Monitor against the store's actual history, or the phase
+   king's agreement oracle); map the property it names to the matching
+   checker property. *)
 let spec_stall_violation outcomes =
   List.find_map
     (function
-      | Counter_intf.Stalled r when contains ~sub:"spec: " r ->
-          let property =
-            if contains ~sub:"agreement" r then Agreement_violated
-            else if contains ~sub:"manifest-monotonicity" r then
-              Manifest_regressed
-            else if contains ~sub:"counter-monotonicity" r then
-              Counter_regressed
-            else Lsn_inconsistent
-          in
-          Some (property, r)
-      | Counter_intf.Stalled _ | Counter_intf.Completed _ -> None)
+      | Counter_intf.Stalled r ->
+          Option.map
+            (fun spec ->
+              let names sub = Counter_intf.contains ~sub spec in
+              let property =
+                if names "agreement" then Agreement_violated
+                else if names "manifest-monotonicity" then Manifest_regressed
+                else if names "counter-monotonicity" then Counter_regressed
+                else Lsn_inconsistent
+              in
+              (property, r))
+            (Counter_intf.spec_violation r)
+      | Counter_intf.Completed _ -> None)
     outcomes
 
 (* CounterProgress: once every victim the adversary crashed has been
@@ -302,7 +300,9 @@ let progress_violation exec =
     List.find_map
       (function
         | Counter_intf.Stalled r
-          when not (contains ~sub:"origin" r || contains ~sub:"gave up" r) ->
+          when not
+                 (Counter_intf.contains ~sub:"origin" r
+                 || Counter_intf.contains ~sub:"gave up" r) ->
             Some
               ( No_progress,
                 Printf.sprintf

@@ -165,18 +165,6 @@ let checksum t =
   end;
   !h land max_int
 
-let reset t =
-  Array.fill t.sent 0 (Array.length t.sent) 0;
-  Array.fill t.recv 0 (Array.length t.recv) 0;
-  t.total <- 0;
-  t.dropped <- 0;
-  t.duplicated <- 0;
-  t.crashes <- 0;
-  t.recoveries <- 0;
-  t.emergency_retirements <- 0;
-  t.byzantine <- 0;
-  t.corruptions <- 0
-
 let copy t =
   {
     n = t.n;
@@ -191,27 +179,6 @@ let copy t =
     byzantine = t.byzantine;
     corruptions = t.corruptions;
   }
-
-let merge_into ~dst src =
-  for p = 1 to Array.length src.sent - 1 do
-    if src.sent.(p) > 0 then begin
-      grow dst p;
-      dst.sent.(p) <- dst.sent.(p) + src.sent.(p)
-    end;
-    if src.recv.(p) > 0 then begin
-      grow dst p;
-      dst.recv.(p) <- dst.recv.(p) + src.recv.(p)
-    end
-  done;
-  dst.total <- dst.total + src.total;
-  dst.dropped <- dst.dropped + src.dropped;
-  dst.duplicated <- dst.duplicated + src.duplicated;
-  dst.crashes <- dst.crashes + src.crashes;
-  dst.recoveries <- dst.recoveries + src.recoveries;
-  dst.emergency_retirements <-
-    dst.emergency_retirements + src.emergency_retirements;
-  dst.byzantine <- dst.byzantine + src.byzantine;
-  dst.corruptions <- dst.corruptions + src.corruptions
 
 let pp_summary ppf t =
   let p, b = bottleneck t in

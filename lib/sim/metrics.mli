@@ -118,12 +118,7 @@ val checksum : t -> int
     checksums too, as do the Byzantine counters ({!byzantine},
     {!corruptions}). *)
 
-val reset : t -> unit
-
 val copy : t -> t
 (** Independent deep copy of the current counts. *)
-
-val merge_into : dst:t -> t -> unit
-(** Add all counts of the source into [dst] (for aggregating repetitions). *)
 
 val pp_summary : Format.formatter -> t -> unit

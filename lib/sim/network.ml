@@ -108,7 +108,6 @@ type 'msg t = {
       (* protocol-supplied payload rewriter: the network knows when to
          corrupt (plan triggers) but not how to rewrite an opaque ['msg];
          counters that support Byzantine runs pass one at [create] *)
-  mutable recovered_tbl : bool array;  (* ever recovered; index = id; grows *)
   mutable recovery_counts : int array;
       (* completed revivals per processor; index = id; grows *)
   mutable unordered_tbl : bool array;
@@ -142,16 +141,20 @@ let record_fault t ~src ~dst kind =
 
 let crashed t p = p >= 0 && p < Array.length t.crashed_tbl && t.crashed_tbl.(p)
 
-let recovered t p =
-  p >= 0 && p < Array.length t.recovered_tbl && t.recovered_tbl.(p)
+let recoveries_of t p =
+  if p >= 0 && p < Array.length t.recovery_counts then t.recovery_counts.(p)
+  else 0
+
+let recovered t p = recoveries_of t p > 0
 
 let ever_crashed t p = crashed t p || recovered t p
 
-let grown tbl p =
+(* [tbl], grown with [empty] slots so that index [p] exists. *)
+let grown tbl p empty =
   let cap = Array.length tbl in
   if p < cap then tbl
   else begin
-    let tbl' = Array.make (max (p + 1) (2 * max cap 8)) false in
+    let tbl' = Array.make (max (p + 1) (2 * max cap 8)) empty in
     Array.blit tbl 0 tbl' 0 cap;
     tbl'
   end
@@ -160,19 +163,10 @@ let crash t p =
   if p < 1 then invalid_arg "Network.crash: ids start at 1";
   if not (crashed t p) then begin
     t.faults_active <- true;
-    t.crashed_tbl <- grown t.crashed_tbl p;
+    t.crashed_tbl <- grown t.crashed_tbl p false;
     t.crashed_tbl.(p) <- true;
     Metrics.on_crash t.metrics;
     record_fault t ~src:p ~dst:p Trace.Crashed
-  end
-
-let grown_counts tbl p =
-  let cap = Array.length tbl in
-  if p < cap then tbl
-  else begin
-    let tbl' = Array.make (max (p + 1) (2 * max cap 8)) 0 in
-    Array.blit tbl 0 tbl' 0 cap;
-    tbl'
   end
 
 let recover t p =
@@ -181,9 +175,7 @@ let recover t p =
      recovery time lands before its crash time degrades gracefully. *)
   if crashed t p then begin
     t.crashed_tbl.(p) <- false;
-    t.recovered_tbl <- grown t.recovered_tbl p;
-    t.recovered_tbl.(p) <- true;
-    t.recovery_counts <- grown_counts t.recovery_counts p;
+    t.recovery_counts <- grown t.recovery_counts p 0;
     t.recovery_counts.(p) <- t.recovery_counts.(p) + 1;
     Metrics.on_recover t.metrics;
     record_fault t ~src:p ~dst:p Trace.Recovered
@@ -195,7 +187,7 @@ let make_byzantine t p =
   if p < 1 then invalid_arg "Network.make_byzantine: ids start at 1";
   if not (byzantine t p) then begin
     t.faults_active <- true;
-    t.byz_tbl <- grown t.byz_tbl p;
+    t.byz_tbl <- grown t.byz_tbl p false;
     t.byz_tbl.(p) <- true;
     Metrics.on_byzantine t.metrics;
     record_fault t ~src:p ~dst:p Trace.Turned_byzantine
@@ -208,13 +200,9 @@ let byzantine_processors t =
   done;
   !acc
 
-let recoveries_of t p =
-  if p >= 0 && p < Array.length t.recovery_counts then t.recovery_counts.(p)
-  else 0
-
 let declare_unordered t p =
   if p < 1 then invalid_arg "Network.declare_unordered: ids start at 1";
-  t.unordered_tbl <- grown t.unordered_tbl p;
+  t.unordered_tbl <- grown t.unordered_tbl p false;
   t.unordered_tbl.(p) <- true
 
 let is_unordered t p =
@@ -222,8 +210,8 @@ let is_unordered t p =
 
 let recovered_processors t =
   let acc = ref [] in
-  for p = Array.length t.recovered_tbl - 1 downto 1 do
-    if t.recovered_tbl.(p) && not (crashed t p) then acc := p :: !acc
+  for p = Array.length t.recovery_counts - 1 downto 1 do
+    if t.recovery_counts.(p) > 0 && not (crashed t p) then acc := p :: !acc
   done;
   !acc
 
@@ -342,7 +330,6 @@ let create ?(seed = 0xC0FFEE) ?(delay = Delay.default) ?label ?bits
       crashed_tbl = [||];
       byz_tbl = [||];
       corrupt;
-      recovered_tbl = [||];
       recovery_counts = [||];
       unordered_tbl = [||];
       time_events;
@@ -745,7 +732,6 @@ let clone_quiescent t =
     crashed_tbl = Array.copy t.crashed_tbl;
     byz_tbl = Array.copy t.byz_tbl;
     corrupt = t.corrupt;
-    recovered_tbl = Array.copy t.recovered_tbl;
     recovery_counts = Array.copy t.recovery_counts;
     unordered_tbl = Array.copy t.unordered_tbl;
     time_events = t.time_events;

@@ -1,6 +1,8 @@
-(* Exit-code contract of the dcount binary: the chaos and mc subcommands
-   drive these from CI, so the codes are load-bearing. The test runs the
-   real executable (a dune dep of this stanza) from the build sandbox. *)
+(* Exit-code contract of the dcount binary, and the CI gate for every
+   documented dcount command line: chaos and load --check sweeps, model
+   checker runs and the regeneration of the stored counterexamples. The
+   test runs the real executable (a dune dep of this stanza) from the
+   build sandbox. *)
 
 let dcount = Filename.concat ".." (Filename.concat "bin" "dcount.exe")
 
@@ -16,6 +18,7 @@ let check_exit name expected args =
 
 let test_mc_exhausted_ok () =
   check_exit "central n=4 exhausts cleanly" 0 "mc -c central -n 4";
+  check_exit "central n=5 exhausts cleanly" 0 "mc -c central -n 5";
   check_exit "static-tree n=4 exhausts cleanly" 0 "mc -c static-tree -n 4"
 
 let test_mc_explicit_schedule () =
@@ -87,6 +90,17 @@ let test_mc_retire_ft () =
   (* Fault-free, the failure-aware tree is bit-identical to retire-tree,
      so the same explicit schedule exhausts. *)
   check_exit "retire-ft fault-free" 0 "mc -c retire-ft -n 8 -s explicit:1,8,4";
+  (* Depth-bounded crash adversary: the audit's timer interleavings make
+     the full space intractable, so these rows assert no duplicate,
+     linearizability and the Hot Spot Lemma over every interleaving of
+     the first 6 decisions (crash timing included) and a deterministic
+     tail beyond. *)
+  check_exit "crash of p1, first 6 decisions" 0
+    "mc -c retire-ft -n 8 -s explicit:2,5 --faults crash:1@99 --max-depth 6 \
+     --allow-incomplete";
+  check_exit "crash of p5, first 6 decisions" 0
+    "mc -c retire-ft -n 8 -s explicit:2,5 --faults crash:5@99 --max-depth 6 \
+     --allow-incomplete";
   (* Under a crash adversary the audit's timer interleavings are
      intractable exhaustively: without --allow-incomplete the bounded
      sweep reports exit 3, with it the clean bounded verdict is 0. *)
@@ -129,15 +143,20 @@ let test_mc_durable () =
   (* Fault-free the durable counter's space is tiny and clean. *)
   check_exit "durable fault-free exhausts" 0
     "mc -c durable -n 2 -s explicit:2,2";
+  check_exit "durable fault-free exhausts, 3 ops" 0
+    "mc -c durable -n 2 -s explicit:2,2,2";
   (* Crash/recover adversary with the CounterProgress check on: bounded
      clean. *)
   check_exit "durable crash/recover bounded with --progress" 0
     "mc -c durable -n 2 -s explicit:2,2 --faults crash:1@99/recover:1@120 \
-     --progress --max-depth 10 --max-states 5000 --allow-incomplete"
+     --progress --max-depth 10 --max-states 5000 --allow-incomplete";
+  check_exit "durable crash/recover to depth 12 with --progress" 0
+    "mc -c durable -n 2 -s explicit:2,2 --faults crash:1@99/recover:1@120 \
+     --progress --max-depth 12 --max-states 20000 --allow-incomplete"
 
 let test_mc_durable_no_cas_stored () =
   (* Regenerate the durable negative control with the hunt parameters
-     the Makefile uses and compare byte-for-byte against the stored
+     it was stored with and compare byte-for-byte against the stored
      file — the CAS-is-load-bearing witness. *)
   let out = Filename.temp_file "dcount_cli_durable_cx" ".mcs" in
   (try Sys.remove out with Sys_error _ -> ());
@@ -188,9 +207,9 @@ let test_mc_byz_usage_errors () =
     "mc --all -n 3 --faults byz:1@99/byzval:1:max-int"
 
 let test_mc_sync_no_threshold_stored () =
-  (* Regenerate the Byzantine negative control with the Makefile's hunt
-     parameters and compare byte-for-byte against the stored file — the
-     round-3-threshold-is-load-bearing witness. *)
+  (* Regenerate the Byzantine negative control with the hunt parameters
+     it was stored with and compare byte-for-byte against the stored
+     file — the round-3-threshold-is-load-bearing witness. *)
   let out = Filename.temp_file "dcount_cli_sync_cx" ".mcs" in
   (try Sys.remove out with Sys_error _ -> ());
   Fun.protect
@@ -217,7 +236,16 @@ let test_chaos_check_ok () =
   check_exit "chaos --check on central" 0
     "chaos -c central -n 4 --crashes 0,1 --check";
   check_exit "chaos --check on quorum-majority" 0
-    "chaos -c quorum-majority -n 5 --crashes 0,1,2 --check"
+    "chaos -c quorum-majority -n 5 --crashes 0,1,2 --check";
+  (* The retirement tree stalls cleanly; retire-ft completes every
+     live-origin op below its overflow pool. *)
+  check_exit "chaos --check on retire-tree" 0
+    "chaos -c retire-tree -n 8 --crashes 0,1,2 --ops 16 --check";
+  check_exit "chaos --check on retire-ft" 0
+    "chaos -c retire-ft -n 8 --crashes 0,1,2,3 --ops 16 --check";
+  (* The durable counter loses no acked increment across crash/recover. *)
+  check_exit "chaos --check on durable" 0
+    "chaos -c durable -n 4 --ops 40 --crashes 0,1,2,3 --recover --check"
 
 let test_chaos_plain_sweep () =
   check_exit "sweep without --check" 0 "chaos -c retire-tree -n 8 --crashes 0,1"
@@ -241,6 +269,16 @@ let test_chaos_byz_usage_errors () =
   check_exit "--byz on durable = exit 2" 2 "chaos --byz -c durable -n 4"
 
 (* ------------------------------------------------------------------ *)
+(* dcount run *)
+
+(* A plan that turns two kings Byzantine, one equivocating and both
+   rewriting payloads, runs to the end. *)
+let test_run_byz_plan () =
+  check_exit "sync-count under two turned kings" 0
+    "run -c sync-count -n 7 -s round-robin:10 --faults \
+     byz:3@0/byzval:3:max-int/byzeq:3/byz:5@0/byzval:5:off-by-7"
+
+(* ------------------------------------------------------------------ *)
 (* dcount load *)
 
 let test_load_check_passes () =
@@ -252,7 +290,16 @@ let test_load_check_passes () =
     "load -c combining -n 64 --rate 0.05 --ops 400 --seed 42 --check";
   (* Every counter runs open loop; a serialising one is linearizable by
      construction. *)
-  check_exit "static-tree --check" 0 "load -c static-tree -n 8 --ops 50 --check"
+  check_exit "static-tree --check" 0 "load -c static-tree -n 8 --ops 50 --check";
+  (* The paper's counter, the combining tree and the serialising
+     crash-tolerant counters at the rate and length where the counting
+     network is caught. *)
+  List.iter
+    (fun counter ->
+      check_exit (counter ^ " --check, 1000 ops") 0
+        ("load -c " ^ counter
+       ^ " -n 64 --rate 0.05 --ops 1000 --seed 42 --check"))
+    [ "retire-tree"; "combining"; "retire-ft"; "durable" ]
 
 let test_load_check_fails_on_counting_net () =
   (* The negative control (docs/LOAD.md): the counting network's
@@ -375,6 +422,8 @@ let test_out_of_range_exit_2 () =
           "chaos -c retire-tree -n 8 --drops 1.5";
           "chaos -c retire-tree -n 8 --dup 1.5";
           "chaos -c retire-tree -n 8 --drops=-0.1";
+          "chaos --crashes=-1";
+          "chaos --byz -c sync-count -n 7 --byz-counts=-1";
           "run -c central -n 4 --delay constant:-1";
           "run -c central -n 4 --delay constant:inf";
           "run -c central -n 4 --delay jitter:-2";
@@ -504,6 +553,7 @@ let () =
           Alcotest.test_case "--byz usage errors" `Quick
             test_chaos_byz_usage_errors;
         ] );
+      ("run", [ Alcotest.test_case "Byzantine plan" `Quick test_run_byz_plan ]);
       ( "load",
         [
           Alcotest.test_case "--check passes" `Quick test_load_check_passes;

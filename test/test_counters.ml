@@ -267,23 +267,12 @@ let test_registry_lookup () =
       "diffracting"; "quorum-majority"; "quorum-grid"; "quorum-tree";
       "quorum-crumbling-wall"; "quorum-projective-plane"; "durable";
     ]
-    (Baselines.Registry.names ());
-  (* Every counter runs open loop: [find_concurrent] resolves every name
-     [find] resolves, the controls and sync-count included. *)
-  List.iter
-    (fun (module S : Counter.Counter_intf.S) ->
-      let name = S.name in
-      match Baselines.Registry.find_concurrent name with
-      | Some (module C : Counter.Counter_intf.CONCURRENT) ->
-          check Alcotest.string "find_concurrent" name C.name
-      | None -> Alcotest.failf "find_concurrent misses %s" name)
-    (Baselines.Registry.all
-    @ (Baselines.Registry.sync_count :: Baselines.Registry.broken))
+    (Baselines.Registry.names ())
 
 (* The host checks origins at the call, for every counter and every
    entry point; a rejected call leaves the counter usable. *)
 module type BATCH = sig
-  include Counter.Counter_intf.CONCURRENT
+  include Counter.Counter_intf.S
 
   val run_batch : t -> origins:int list -> (int * int) list
 end
@@ -312,10 +301,7 @@ let rejects what f =
 
 let test_origins_checked_at_the_call () =
   List.iter
-    (fun (module S : Counter.Counter_intf.S) ->
-      let (module C : Counter.Counter_intf.CONCURRENT) =
-        Option.get (Baselines.Registry.find_concurrent S.name)
-      in
+    (fun (module C : Counter.Counter_intf.S) ->
       let n = C.supported_n 8 in
       let c = C.create ~n () in
       List.iter

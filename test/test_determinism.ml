@@ -352,9 +352,9 @@ let open_goldens =
   ]
 
 let run_open name =
-  match Baselines.Registry.find_concurrent name with
-  | None -> Alcotest.failf "%s: not open-loop capable" name
-  | Some (module C : Counter.Counter_intf.CONCURRENT) ->
+  match Baselines.Registry.find name with
+  | None -> Alcotest.failf "%s: no such counter" name
+  | Some (module C : Counter.Counter_intf.S) ->
       let n = C.supported_n 64 in
       let c = C.create ~seed:42 ~delay:(Sim.Delay.Exponential 1.0) ~n () in
       let plan =

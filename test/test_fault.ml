@@ -584,12 +584,7 @@ let every_counter =
 let test_duplication_typed_outcomes () =
   let faults = plan "dup:0.05" in
   List.iter
-    (fun (module S : Counter.Counter_intf.S) ->
-      let (module C : Counter.Counter_intf.CONCURRENT) =
-        match Baselines.Registry.find_concurrent S.name with
-        | Some c -> c
-        | None -> Alcotest.failf "%s: no open-loop view" S.name
-      in
+    (fun (module C : Counter.Counter_intf.S) ->
       let n =
         C.supported_n
           (if C.name = "sync-count" || C.name = "sync-no-threshold" then 7
@@ -716,6 +711,16 @@ let test_promise_durable () =
     [ "spec violation: lost update" ]
     (durable ~value:1
        [ acked 0; stalled "spec: lost update"; stalled "spec: lost update" ]);
+  (* The reason [mc --replay data/durable_no_cas_n2.mcs] reports: the
+     counter prefixes the monitor's tag with its own name. *)
+  let regressed =
+    "manifest-monotonicity: epoch=0;snap=1;low=0;active=0 regressed to \
+     epoch=1;snap=0;low=0;active=0"
+  in
+  check Alcotest.(list string) "spec stall behind the counter's prefix"
+    [ "spec violation: " ^ regressed ]
+    (durable ~value:1
+       [ acked 0; stalled ("Durable_counter.inc: spec: " ^ regressed) ]);
   check Alcotest.(list string) "an unacked durable increment is fine" []
     (durable ~value:4
        [ acked 0; acked 1; stalled ~alive:false "origin crashed"; acked 3 ])

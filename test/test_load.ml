@@ -286,7 +286,7 @@ let test_retire_tree_linearizable_at_every_overlap () =
 
 let test_every_concurrent_counter_completes () =
   List.iter
-    (fun (module C : Counter.Counter_intf.CONCURRENT) ->
+    (fun (module C : Counter.Counter_intf.S) ->
       let r =
         D.run_load ~seed:7 ~delay:(Sim.Delay.Exponential 1.0)
           (module C) ~n:16 ~arrivals:(A.Poisson 0.5) ~ops:200
@@ -308,7 +308,7 @@ let test_every_concurrent_counter_completes () =
         Alcotest.(check bool)
           (C.name ^ ": quiescently consistent")
           true r.D.analysis.H.quiescent)
-    Baselines.Registry.concurrent_all
+    Baselines.Registry.all
 
 (* Closed loop vs open loop, pinned together for every counter: the same
    origins run once with [inc_result] and once as open-loop arrivals far
@@ -338,12 +338,7 @@ let test_closed_open_differential () =
   List.iter
     (fun (faults, delay, spacing) ->
       List.iter
-        (fun (module S : Counter.Counter_intf.S) ->
-          let (module C : Counter.Counter_intf.CONCURRENT) =
-            match Baselines.Registry.find_concurrent S.name with
-            | Some c -> c
-            | None -> Alcotest.failf "%s: no open-loop view" S.name
-          in
+        (fun (module C : Counter.Counter_intf.S) ->
           let n = C.supported_n 16 in
           let origins =
             Counter.Schedule.origins (Counter.Schedule.Random 40)

@@ -152,7 +152,7 @@ let data_file name =
 
 let test_stored_counterexample_is_canonical () =
   (* The stored file must be byte-for-byte what the checker would emit
-     today — the same comparison `make test-mc` performs. *)
+     today — the same comparison test_cli makes on the CLI path. *)
   let stored =
     In_channel.with_open_text (data_file "race_reply_n3.mcs")
       In_channel.input_all
@@ -379,26 +379,14 @@ let recover_plan = crash_plan "crash:1@99/recover:1@120"
    the durable counter and the stored manifest regression. *)
 let durable_cas_tight : Counter.Counter_intf.counter =
   (module struct
-    module D = Core.Durable_counter
-
-    type t = D.t
+    include Core.Durable_counter
 
     let name = "durable-cas-tight"
     let describe = "durable counter at the negative control's cadence"
-    let supported_n = D.supported_n
 
     let create ?seed ?delay ?faults ~n () =
-      D.create_raw ?seed ?delay ?faults ~cas:true ~chunk_records:1
+      create_raw ?seed ?delay ?faults ~cas:true ~chunk_records:1
         ~snap_every:1 ~n ()
-
-    let n = D.n
-    let value = D.value
-    let metrics = D.metrics
-    let traces = D.traces
-    let inc = D.inc
-    let inc_result = D.inc_result
-    let crashed = D.crashed
-    let clone = D.clone
   end)
 
 let test_durable_exhaustive_fault_free () =
@@ -468,8 +456,8 @@ let test_durable_cas_survives_no_cas_hunt () =
   | Mc.Explore.Exhausted_ok | Mc.Explore.Budget_exhausted -> ()
 
 let test_stored_durable_counterexample () =
-  (* Byte-for-byte what the hunt emits today (the comparison `make
-     test-mc` performs on the CLI path), and it must still reproduce. *)
+  (* Byte-for-byte what the hunt emits today (the comparison test_cli
+     makes on the CLI path), and it must still reproduce. *)
   let stored =
     In_channel.with_open_text (data_file "durable_no_cas_n2.mcs")
       In_channel.input_all

@@ -440,14 +440,6 @@ let test_metrics_copy_independent () =
   check Alcotest.int "copy froze" 1 (Sim.Metrics.load c 1);
   check Alcotest.int "original moved" 2 (Sim.Metrics.load m 1)
 
-let test_metrics_merge () =
-  let a = Sim.Metrics.create ~n:3 and b = Sim.Metrics.create ~n:3 in
-  Sim.Metrics.on_send a 1;
-  Sim.Metrics.on_recv b 1;
-  Sim.Metrics.merge_into ~dst:a b;
-  check Alcotest.int "merged load" 2 (Sim.Metrics.load a 1);
-  check Alcotest.int "merged total" 1 (Sim.Metrics.total_messages a)
-
 (* ------------------------------------------------------------------ *)
 (* Network *)
 
@@ -829,7 +821,6 @@ let () =
           Alcotest.test_case "bottleneck" `Quick test_metrics_bottleneck;
           Alcotest.test_case "overflow ids" `Quick test_metrics_overflow;
           Alcotest.test_case "copy independent" `Quick test_metrics_copy_independent;
-          Alcotest.test_case "merge" `Quick test_metrics_merge;
         ] );
       ( "network",
         [
