@@ -21,9 +21,13 @@ val bucket_counts : t -> (int * int * int) list
 val quantile : float array -> q:float -> float
 (** [quantile samples ~q] is the nearest-rank [q]-quantile of a
     non-empty sample array ([q] in [\[0, 1\]]; [q = 0.5] is the median,
-    [q = 1.] the maximum). Sorts a copy; the input is untouched. *)
+    [q = 1.] the maximum). Sorts a copy under [Float.compare], with a
+    sort written for [float array] that compares unboxed floats; the
+    input is untouched. *)
 
 type latency_summary = { p50 : float; p90 : float; p99 : float; max : float }
 
 val summary : float array -> latency_summary
-(** The standard reporting quartet over a non-empty sample array. *)
+(** The standard reporting quartet over a non-empty sample array: one
+    copy and one sort for all four, each equal to {!quantile} at its
+    [q]. *)

@@ -77,7 +77,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
       mutable stamps : int;  (* round stamps handed out so far *)
       mutable ops : int;
       mutable stall : string option;  (* why the last operation gave up *)
-      mutable retries : int;  (* observer tally *)
     }
 
     let name = "quorum-" ^ Q.name
@@ -230,7 +229,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
              (op.attempts + 1) (List.length op.pending))
       else begin
         op.attempts <- op.attempts + 1;
-        t.retries <- t.retries + 1;
         List.iter
           (fun m -> if m <> op.origin then suspect t op.origin m)
           op.pending;
@@ -313,7 +311,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
         stamps = 0;
         ops = 0;
         stall = None;
-        retries = 0;
       }
 
     let net t = t.net
@@ -369,10 +366,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
   end
 
   include Counter.Host.Make (Protocol)
-
-  let quorum_size t = Q.quorum_size (core t).Protocol.system
-
-  let retries t = (core t).Protocol.retries
 end
 
 module Over_majority = Make (Quorum.Majority)

@@ -64,11 +64,6 @@ module Make (_ : Quorum.Quorum_intf.S) : sig
       quorum counter is neither linearizable nor quiescently consistent
       ([dcount load] reports the duplicate values honestly). Sequential
       dispatch, where the paper's model lives, is unaffected. *)
-
-  val quorum_size : t -> int
-
-  val retries : t -> int
-  (** Timed-out quorum attempts that were retried (all operations). *)
 end
 
 module Over_majority : Counter.Counter_intf.S

@@ -111,7 +111,8 @@ module type S = sig
   (** Cumulative per-processor message loads. *)
 
   val traces : t -> Sim.Trace.t list
-  (** Traces of all completed operations, chronological. *)
+  (** Traces of the closed-loop ({!inc}) and batch operations,
+      chronological; open-loop operations keep none. *)
 
   val clone : t -> t
   (** Deep copy of the quiescent counter state (same future behaviour).
@@ -137,11 +138,13 @@ module type S = sig
       assumes one operation at a time), but metrics still accumulate. A
       serialising protocol (the paper's retire tree,
       {!CORE.serialising}) instead serves each arrival to completion
-      inside [launch_at], as one traced closed-loop operation that starts
-      at its arrival time or as soon as the previous operation finished,
+      inside [launch_at], as one closed-loop run that starts at its
+      arrival time or as soon as the previous operation finished,
       whichever is later — so an operation may start after its arrival,
       and queueing delay shows up in its completion time, which is
-      exactly the honest cost of serialisation. *)
+      exactly the honest cost of serialisation. That run is untraced
+      too: {!traces} holds closed-loop ({!inc}) and batch operations
+      only, so an open-loop run keeps no per-delivery record. *)
 
   val launch_at : t -> op:int -> origin:int -> at:float -> unit
   (** Inject operation [op] from [origin] at virtual time [at]

@@ -31,6 +31,17 @@ type verdict =
       (** [Violation (a, b)]: [a] completed before [b] was invoked, yet
           [a.value > b.value]. *)
 
+(** {1 Costs}
+
+    {!check}, {!concurrency_profile} and {!mean_overlap} copy the
+    history into two arrays, one in invocation order and one in
+    completion order, and sort each with [Array.sort] — O(ops log ops) —
+    unless one O(ops) pass finds it already in order (the open loop's
+    completions arrive in order). What follows is linear: the check's
+    sweep, or one merge of the two arrays for both overlap figures.
+    {!values_contiguous} is one O(ops) pass over a seen-array. {!analyze}
+    builds the two arrays once and runs all four on them. *)
+
 val check : op list -> verdict
 (** O(ops log ops): sweep operations in invocation order against the
     running maximum value over operations already completed — a violation
@@ -68,8 +79,10 @@ type analysis = {
 }
 
 val analyze : op list -> analysis
-(** All concurrent-history verdicts of one history in one pass — what
-    {!Driver.run_load} reports and [dcount load --check] gates on. *)
+(** All concurrent-history verdicts of one history from one sort per
+    order — what {!Driver.run_load} reports and [dcount load --check]
+    gates on. Each field equals what the single function above
+    returns. *)
 
 val pp_op : Format.formatter -> op -> unit
 

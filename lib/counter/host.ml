@@ -52,14 +52,19 @@ module Make (C : Counter_intf.CORE) = struct
     if origin < 1 || origin > n h then
       invalid_arg (C.who ^ ": origin out of range")
 
-  let inc h ~origin =
-    check_origin h origin;
-    Sim.Network.begin_op h.net ~origin;
+  (* One closed-loop operation run to quiescence; its first reply is left
+     in [h.first] for [C.verdict]. *)
+  let serve h ~origin =
     h.closing <- true;
     h.first <- None;
     C.start h.core ~reply:h.reply ~op:(-1) ~origin;
     ignore (Sim.Network.run_to_quiescence h.net);
-    h.closing <- false;
+    h.closing <- false
+
+  let inc h ~origin =
+    check_origin h origin;
+    Sim.Network.begin_op h.net ~origin;
+    serve h ~origin;
     h.traces_rev <- Sim.Network.end_op h.net :: h.traces_rev;
     C.verdict h.core ~origin h.first
 
@@ -71,12 +76,17 @@ module Make (C : Counter_intf.CORE) = struct
     if C.serialising then begin
       (* Idle until the arrival (a no-op timer charges no load), then
          serve the operation to completion: queueing delay shows up in
-         its completion time. *)
+         its completion time. Untraced: nothing reads an open-loop
+         operation's trace, and keeping one per operation would hold
+         every delivery of the run. *)
       if delay > 0. then begin
         Sim.Network.schedule_local h.net ~delay ignore;
         ignore (Sim.Network.run_to_quiescence h.net)
       end;
-      match inc_result h ~origin with
+      serve h ~origin;
+      match
+        Counter_intf.result_of_inc (fun () -> C.verdict h.core ~origin h.first)
+      with
       | Counter_intf.Completed v ->
           h.done_rev <- (op, v, Sim.Network.now h.net) :: h.done_rev
       | Counter_intf.Stalled _ -> ()

@@ -2,7 +2,9 @@
     ({!Counter_intf.CORE}) into the full {!Counter_intf.S}
     counter. Origin checks, the per-operation trace bracket, closed-loop
     [inc], open-loop [launch_at]/[run_open]/[completions], batches,
-    [clone] and handler installation are written once, here. *)
+    [clone] and handler installation are written once, here. [inc] and
+    batches keep one trace each; open-loop operations keep none, a
+    serialising core's included. *)
 
 module Make (C : Counter_intf.CORE) : sig
   include Counter_intf.S

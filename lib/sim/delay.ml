@@ -8,9 +8,11 @@ let default = Constant 1.0
 
 (* Delivery must be strictly after sending, otherwise quiescence detection
    could livelock on zero-delay self-messages. *)
-let floor_positive d = if d <= 0. then 1e-9 else d
+let[@inline] floor_positive d = if d <= 0. then 1e-9 else d
 
-let sample t rng =
+(* Inlined, like [Rng.float], so a release build hands the sampled float
+   to [Heap.push] unboxed. *)
+let[@inline] sample t rng =
   let d =
     match t with
     | Constant d -> d
@@ -18,7 +20,7 @@ let sample t rng =
         if hi <= lo then lo else lo +. Rng.float rng (hi -. lo)
     | Exponential mean ->
         (* Inverse-CDF sampling; clamp u away from 0 to avoid log 0. *)
-        let u = max (Rng.float rng 1.0) 1e-12 in
+        let u = Float.max (Rng.float rng 1.0) 1e-12 in
         -.mean *. log u
     | Adversarial_jitter base ->
         if Rng.float rng 1.0 < 0.9 then base +. Rng.float rng base

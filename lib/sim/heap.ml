@@ -61,7 +61,9 @@ let ensure_capacity t fill =
     t.values <- values
   end
 
-let push t ~prio value =
+(* [push] and [top_prio] take or return a float across the module
+   boundary: inlined, a release build keeps it unboxed. *)
+let[@inline] push t ~prio value =
   ensure_capacity t value;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -85,9 +87,13 @@ let push t ~prio value =
   seqs.(!i) <- seq;
   values.(!i) <- value
 
-(* Re-inserts (prio, seq, value) starting from a hole at the root. *)
-let sift_down_from_root t prio seq value =
+(* Re-inserts the entry at slot [from] (outside the live prefix) starting
+   from a hole at the root. Taking the slot rather than its priority keeps
+   the float unboxed: a float argument to this non-inlined function would
+   be boxed on every pop. *)
+let sift_down_from_root t from =
   let prios = t.prios and seqs = t.seqs and values = t.values in
+  let prio = prios.(from) and seq = seqs.(from) and value = values.(from) in
   let len = t.len in
   let i = ref 0 in
   let moving = ref true in
@@ -119,7 +125,7 @@ let sift_down_from_root t prio seq value =
 
 let peek t = if t.len = 0 then None else Some (t.prios.(0), t.values.(0))
 
-let top_prio t =
+let[@inline] top_prio t =
   if t.len = 0 then invalid_arg "Heap.top_prio: empty heap";
   t.prios.(0)
 
@@ -128,8 +134,7 @@ let pop_top t =
   let value = t.values.(0) in
   let last = t.len - 1 in
   t.len <- last;
-  if last > 0 then
-    sift_down_from_root t t.prios.(last) t.seqs.(last) t.values.(last);
+  if last > 0 then sift_down_from_root t last;
   value
 
 let pop t =

@@ -7,7 +7,11 @@
     collides.
 
     Internally a structure-of-arrays 4-ary heap (unboxed float priorities,
-    parallel int/value columns): steady-state push/pop allocates nothing.
+    parallel int/value columns). Once the columns are warm, {!pop_top}
+    allocates nothing in any build. {!push} and {!top_prio} pass a float
+    across the module boundary: they are marked [[@inline]], so a release
+    build keeps it unboxed and they allocate nothing either, while a dev
+    build ([-opaque], no cross-module inlining) boxes it, 2 words a call.
     The (prio, seq) pop order is a total order, so results are identical to
     any other stable priority queue — see docs/PERFORMANCE.md. *)
 
@@ -26,8 +30,9 @@ val capacity : 'a t -> int
 (** Current backing-array size (grows by doubling; never shrinks). *)
 
 val push : 'a t -> prio:float -> 'a -> unit
-(** [push t ~prio x] inserts [x] with priority [prio]. O(log n),
-    allocation-free once the backing arrays are warm. *)
+(** [push t ~prio x] inserts [x] with priority [prio]. O(log n). Once the
+    backing arrays are warm it allocates nothing where it is inlined (a
+    release build), and the boxed [prio] otherwise. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element (earliest inserted among
@@ -35,12 +40,13 @@ val pop : 'a t -> (float * 'a) option
     hot paths use {!top_prio} + {!pop_top} instead. *)
 
 val top_prio : 'a t -> float
-(** Priority of the element {!pop} would return, without allocating.
+(** Priority of the element {!pop} would return, with no wrapper; the
+    float is unboxed where the call is inlined (a release build).
     @raise Invalid_argument on an empty heap. *)
 
 val pop_top : 'a t -> 'a
 (** Removes and returns the minimum element without wrapping it — the
-    allocation-free twin of {!pop}.
+    allocation-free twin of {!pop}, in every build.
     @raise Invalid_argument on an empty heap. *)
 
 val peek : 'a t -> (float * 'a) option

@@ -3,24 +3,35 @@
    standard golden-gamma increment and the two mixing multipliers of the
    murmur3-style finalizer variant used by the reference implementation. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne], which stay unboxed inside a
+   function: a [mutable int64] field would box a fresh Int64 on every
+   draw. [mix64], [bits64], [bits] and [float] are inlined, so a draw
+   that ends in an int or a float allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (bits64 t)
+
+let copy = Bytes.copy
 
 (* Stateless derivation: a stream that is a pure function of
    (seed, a, b), independent of any draw order elsewhere. Arrivals keys
@@ -30,27 +41,27 @@ let copy t = { state = t.state }
    construction. *)
 let keyed ~seed a b =
   let absorb s v = mix64 (Int64.add s (Int64.mul golden_gamma (Int64.of_int v))) in
-  { state = absorb (absorb (mix64 (Int64.of_int seed)) a) b }
+  of_state (absorb (absorb (mix64 (Int64.of_int seed)) a) b)
 
 (* Non-negative 62-bit int from the top bits (avoids sign issues). *)
-let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
   let max = (1 lsl 62) - 1 in
   let limit = max - (max mod bound) in
-  let rec draw () =
-    let v = bits t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (bits t) in
+  while !v >= limit do
+    v := bits t
+  done;
+  !v mod bound
 
 let int_in t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
   (* 53 random bits mapped to [0,1). *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in

@@ -91,6 +91,42 @@ let prop_histogram_conserves_mass =
          List.fold_left (fun acc (_, _, c) -> acc + c) 0 (H.bucket_counts h)
          = Array.length samples))
 
+(* [summary] sorts one copy for all four quantiles; each [quantile] call
+   sorts its own. Both must give the nearest rank of the polymorphic
+   [Array.sort Float.compare] order, on samples with duplicates (a
+   coarse grid) and infinities, and leave the input untouched. *)
+let prop_summary_is_quantile =
+  let sample =
+    QCheck2.Gen.(
+      frequency
+        [
+          (8, map (fun k -> float_of_int k *. 0.25) (int_range 0 40));
+          (1, return Float.infinity);
+          (1, return Float.neg_infinity);
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"summary = quantile = sorted reference"
+       ~count:300
+       QCheck2.Gen.(array_size (int_range 1 200) sample)
+       (fun samples ->
+         let input = Array.copy samples in
+         let sorted = Array.copy samples in
+         Array.sort Float.compare sorted;
+         let len = Array.length sorted in
+         let reference q =
+           let rank = int_of_float (ceil (q *. float_of_int len)) in
+           sorted.(max 0 (min (len - 1) (rank - 1)))
+         in
+         let s = H.summary samples in
+         List.for_all
+           (fun (q, got) ->
+             Float.equal got (H.quantile samples ~q)
+             && Float.equal got (reference q))
+           [ (0.5, s.H.p50); (0.9, s.H.p90); (0.99, s.H.p99); (1., s.H.max) ]
+         && Float.equal (H.quantile samples ~q:0.) sorted.(0)
+         && samples = input))
+
 let test_table_render () =
   let t = T.create ~columns:[ "name"; "value" ] in
   T.add_row t [ "alpha"; "1" ];
@@ -238,6 +274,7 @@ let () =
           Alcotest.test_case "buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "single value" `Quick test_histogram_single_value;
           prop_histogram_conserves_mass;
+          prop_summary_is_quantile;
         ] );
       ( "table",
         [

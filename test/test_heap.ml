@@ -171,6 +171,33 @@ let test_to_sorted_list_keeps_heap_intact () =
   check Alcotest.int "size unchanged" 3 (Heap.size h);
   check (Alcotest.float 0.0) "min unchanged" 1. (Heap.top_prio h)
 
+(* Words the minor heap grew by while [f] ran, less the cost of the
+   measurement itself. Exact: [Gc.minor_words] reads the allocation
+   pointer. *)
+let minor_words_of f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  words f -. words ignore
+
+(* A warm heap pops without allocating: [pop_top] hands the last slot's
+   index, not its float priority, to the sift. Holds in every build
+   profile, since nothing here needs cross-module inlining. *)
+let test_pop_top_allocates_nothing () =
+  let pops = 10_000 in
+  let h = Heap.create () in
+  for v = 1 to pops do
+    Heap.push h ~prio:(float_of_int ((v * 7919) mod pops)) v
+  done;
+  check (Alcotest.float 0.) "words for 10 000 pops" 0.
+    (minor_words_of (fun () ->
+         for _ = 1 to pops do
+           ignore (Sys.opaque_identity (Heap.pop_top h))
+         done));
+  check Alcotest.int "drained" 0 (Heap.size h)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "heap"
@@ -193,5 +220,7 @@ let () =
             test_pop_top_matches_pop;
           Alcotest.test_case "to_sorted_list non-destructive" `Quick
             test_to_sorted_list_keeps_heap_intact;
+          Alcotest.test_case "pop_top allocates nothing" `Quick
+            test_pop_top_allocates_nothing;
         ] );
     ]

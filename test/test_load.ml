@@ -215,6 +215,132 @@ let test_check_small_cases () =
       check Alcotest.int "b.value" 0 b.value
   | H.Linearizable -> Alcotest.fail "disjoint inversion missed"
 
+(* The list analyses [History] ran on before it sorted each key once:
+   [check] sorts two arrays, [values_contiguous] sorts the values, and
+   peak and mean overlap each sort 2n boxed endpoint tuples. The
+   reference the one-sort array code is pinned to, field by field. *)
+module Reference = struct
+  let cmp_fields k1 k2 (a : H.op) (b : H.op) =
+    match Float.compare (k1 a) (k1 b) with
+    | 0 -> (
+        match Float.compare (k2 a) (k2 b) with
+        | 0 -> (
+            match Int.compare a.value b.value with
+            | 0 -> Int.compare a.origin b.origin
+            | c -> c)
+        | c -> c)
+    | c -> c
+
+  let check ops =
+    let inv = Array.of_list ops in
+    let comp = Array.copy inv in
+    Array.sort
+      (cmp_fields (fun (o : H.op) -> o.invoked_at) (fun o -> o.completed_at))
+      inv;
+    Array.sort
+      (cmp_fields (fun (o : H.op) -> o.completed_at) (fun o -> o.invoked_at))
+      comp;
+    let j = ref 0 and best = ref None and found = ref None in
+    Array.iter
+      (fun (b : H.op) ->
+        if Option.is_none !found then begin
+          while !j < Array.length comp && comp.(!j).completed_at < b.invoked_at
+          do
+            (match !best with
+            | Some (a : H.op) when a.value >= comp.(!j).value -> ()
+            | Some _ | None -> best := Some comp.(!j));
+            incr j
+          done;
+          match !best with
+          | Some a when a.value > b.value -> found := Some (a, b)
+          | Some _ | None -> ()
+        end)
+      inv;
+    match !found with None -> H.Linearizable | Some (a, b) -> H.Violation (a, b)
+
+  let values_contiguous ops =
+    let values = List.sort Int.compare (List.map (fun (o : H.op) -> o.value) ops) in
+    values = List.init (List.length ops) Fun.id
+
+  (* Completions sort before invocations at the same instant. *)
+  let sweep_events ops =
+    List.sort
+      (fun (t1, d1) (t2, d2) ->
+        match Float.compare t1 t2 with 0 -> Int.compare d1 d2 | c -> c)
+      (List.concat_map
+         (fun (o : H.op) -> [ (o.invoked_at, 1); (o.completed_at, -1) ])
+         ops)
+
+  let concurrency_profile ops =
+    snd
+      (List.fold_left
+         (fun (cur, peak) (_, d) -> (cur + d, max peak (cur + d)))
+         (0, 0) (sweep_events ops))
+
+  let mean_overlap ops =
+    match sweep_events ops with
+    | [] -> 0.
+    | (t0, _) :: _ as events ->
+        let _, t_last, area =
+          List.fold_left
+            (fun (cur, prev_t, area) (t, d) ->
+              (cur + d, t, area +. (float_of_int cur *. (t -. prev_t))))
+            (0, t0, 0.) events
+        in
+        let span = t_last -. t0 in
+        if span > 0. then area /. span else 0.
+end
+
+let verdict_equal v w =
+  match (v, w) with
+  | H.Linearizable, H.Linearizable -> true
+  | H.Violation (a, b), H.Violation (a', b') -> op_equal a a' && op_equal b b'
+  | _ -> false
+
+(* Histories on a coarse time grid, so completions often land on another
+   op's invocation (and zero-length ops occur); grid points are tenths,
+   which floats hold inexactly, so the mean's summation order shows.
+   Values are a permutation half the time, else drawn with duplicates and
+   gaps. Given in shuffled order. *)
+let gen_grid_history =
+  QCheck2.Gen.(
+    int_range 0 40 >>= fun k ->
+    bool >>= fun permuted ->
+    (if permuted then shuffle_l (List.init k Fun.id)
+     else list_size (return k) (int_range 0 k))
+    >>= fun values ->
+    list_size (return k) (triple (int_range 1 8) (int_range 0 30) (int_range 0 6))
+    >>= fun spans ->
+    shuffle_l
+      (List.map2
+         (fun value (origin, start, length) ->
+           {
+             H.origin;
+             value;
+             invoked_at = float_of_int start *. 0.1;
+             completed_at = float_of_int (start + length) *. 0.1;
+           })
+         values spans))
+
+let prop_analyze_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"analyze = the list reference, field by field" ~count:500
+       gen_grid_history (fun h ->
+         let a = H.analyze h in
+         let verdict = Reference.check h in
+         let quiescent = Reference.values_contiguous h in
+         verdict_equal a.H.verdict verdict
+         && Bool.equal a.H.quiescent quiescent
+         && Bool.equal a.H.linearizable
+              (quiescent && verdict_equal verdict H.Linearizable)
+         && a.H.peak_overlap = Reference.concurrency_profile h
+         && Float.equal a.H.mean_overlap (Reference.mean_overlap h)
+         && verdict_equal (H.check h) verdict
+         && Bool.equal (H.values_contiguous h) quiescent
+         && H.concurrency_profile h = a.H.peak_overlap
+         && Float.equal (H.mean_overlap h) a.H.mean_overlap))
+
 (* ------------------------------------------------------------------ *)
 (* Stored goldens: the violations the docs talk about must keep
    reproducing bit-for-bit. *)
@@ -389,6 +515,24 @@ let test_closed_open_differential () =
         every_counter)
     differential_inputs
 
+(* A serialising counter serves each launched operation inside
+   [launch_at] as a closed-loop run, but keeps no trace of it: [traces]
+   holds the closed-loop operation before the launches and nothing
+   else. *)
+let test_serialising_launches_keep_no_trace () =
+  let module C = Core.Retire_counter in
+  let c = C.create ~seed:42 ~n:81 () in
+  check Alcotest.int "closed op" 0 (C.inc c ~origin:3);
+  for op = 0 to 99 do
+    C.launch_at c ~op ~origin:((op mod 81) + 1) ~at:(float_of_int (op + 10))
+  done;
+  C.run_open c;
+  check Alcotest.int "every launch completes" 100
+    (List.length (C.completions c));
+  match C.traces c with
+  | [ t ] -> check Alcotest.int "the closed op's trace" 3 (Sim.Trace.origin t)
+  | ts -> Alcotest.failf "%d traces, expected 1" (List.length ts)
+
 let test_latency_percentiles_ordered () =
   let r =
     D.run_load ~seed:42 ~delay:(Sim.Delay.Exponential 1.0)
@@ -447,6 +591,7 @@ let () =
           prop_check_matches_brute_force;
           prop_witness_valid;
           prop_check_input_order_invariant;
+          prop_analyze_matches_reference;
           Alcotest.test_case "small cases" `Quick test_check_small_cases;
         ] );
       ( "goldens",
@@ -463,6 +608,8 @@ let () =
             test_every_concurrent_counter_completes;
           Alcotest.test_case "closed = open without overlap" `Quick
             test_closed_open_differential;
+          Alcotest.test_case "serialising launches keep no trace" `Quick
+            test_serialising_launches_keep_no_trace;
           Alcotest.test_case "percentiles ordered" `Quick
             test_latency_percentiles_ordered;
           Alcotest.test_case "report reproducible" `Slow

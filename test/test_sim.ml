@@ -66,6 +66,68 @@ let test_rng_float_bounds () =
     Alcotest.(check bool) "float in range" true (v >= 0. && v < 2.5)
   done
 
+(* Known answers recorded from the generator as first written (state in
+   a [mutable int64] field): a change of state layout must not shift any
+   stream. [int]'s bound 2^61 + 1 rejects about half its draws, so the
+   rejection loop is pinned too. *)
+let test_rng_known_answers () =
+  let module R = Sim.Rng in
+  let bits r k = List.init k (fun _ -> R.bits64 r) in
+  let i64s = Alcotest.(list int64) in
+  let r = R.create ~seed:42 in
+  check i64s "create ~seed:42"
+    [ 0x989B3F130A063869L; 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L ]
+    (bits r 3);
+  let child = R.split r in
+  check i64s "split"
+    [ 0xF72AA72B5007BEFFL; 0x4DEA4DDCD168218CL; 0x388B686E5A0ABB00L ]
+    (bits child 3);
+  check i64s "parent after split" [ 0xFB16A06E52EC10A7L ] (bits r 1);
+  let c = R.copy r in
+  check i64s "copy" [ 0x3C30FC5FD50692C3L ] (bits c 1);
+  check i64s "original after copy" [ 0x3C30FC5FD50692C3L ] (bits r 1);
+  check i64s "keyed ~seed:42 3 7"
+    [ 0x408C6E854383EEB3L; 0x48EADF7B87F6CAC7L; 0xDB1C111B3D9EA63EL ]
+    (bits (R.keyed ~seed:42 3 7) 3);
+  let f = R.create ~seed:42 in
+  check
+    Alcotest.(list (float 0.))
+    "float"
+    [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+      0x1.896d649de031p-5 ]
+    (List.init 4 (fun _ -> R.float f 1.0));
+  let i = R.create ~seed:42 in
+  check
+    Alcotest.(list int)
+    "int 1000" [ 570; 797; 285; 91; 889; 528 ]
+    (List.init 6 (fun _ -> R.int i 1000));
+  let i = R.create ~seed:42 in
+  check
+    Alcotest.(list int)
+    "int (2^61 + 1)"
+    [ 739554815828047797; 767374426118319285; 221479889520321091;
+      1084310982420964528 ]
+    (List.init 4 (fun _ -> R.int i ((1 lsl 61) + 1)))
+
+(* Words the minor heap grew by while [f] ran, less the cost of the
+   measurement itself. Exact: [Gc.minor_words] reads the allocation
+   pointer. *)
+let minor_words_of f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  words f -. words ignore
+
+let test_rng_int_allocates_nothing () =
+  let rng = Sim.Rng.create ~seed:1 in
+  check (Alcotest.float 0.) "words for 10 000 draws" 0.
+    (minor_words_of (fun () ->
+         for _ = 1 to 10_000 do
+           ignore (Sys.opaque_identity (Sim.Rng.int rng 1000))
+         done))
+
 let prop_rng_int_uniformish =
   QCheck2.Test.make ~name:"rng hits every residue eventually"
     ~count:20
@@ -773,6 +835,9 @@ let () =
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "permutation" `Quick test_rng_permutation;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_allocates_nothing;
           q prop_rng_int_uniformish;
         ] );
       ( "heap",
