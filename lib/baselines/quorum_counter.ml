@@ -24,12 +24,17 @@ type phase = Reading | Writing
 (* One operation's client: closed-loop, batch member and open-loop alike.
    [round] stamps its current quorum attempt; every round it has used
    stays in the counter's round table until it completes or gives up, so
-   a late reply still finds it. [pending] lists members that have not
-   answered the current round (membership, not a count, so a duplicated
-   reply cannot be counted twice); [awaiting] is how many more answers
-   the phase needs (= |pending| normally; a majority in fallback mode,
-   where the request goes to everyone and crashed members never
-   answer). *)
+   a late reply still finds it. [members] is the current quorum as a
+   sorted array (quorums are sorted by contract), shared with the
+   counter's quorum cache under a fault plan. [owed] holds one flag per
+   member, sized to the quorum (reallocated only when a retry picks a
+   quorum of another size): set while that member owes the current
+   round an answer, so a reply finds its flag by binary search and
+   clears it without allocating, and a duplicated reply finds it
+   already clear and is not counted twice. [owing] counts the set
+   flags; [awaiting] is how many more answers the phase needs
+   (= [owing] normally; a majority in fallback mode, where the request
+   goes to everyone and crashed members never answer). *)
 type op = {
   id : int;  (* the host's operation id, -1 in closed loop *)
   origin : int;
@@ -37,9 +42,10 @@ type op = {
   mutable phase : phase;
   mutable round : int;
   mutable rounds : int list;  (* every round used so far *)
-  mutable members : int list;
+  mutable members : int array;
   mutable fallback : bool;
-  mutable pending : int list;
+  mutable owed : Bytes.t;  (* '\001' at index i iff members.(i) owes *)
+  mutable owing : int;
   mutable awaiting : int;
   mutable value : int;
       (* reading: the value of the highest version seen; writing: the new
@@ -48,6 +54,23 @@ type op = {
   mutable version : int;
   mutable attempts : int;  (* retries so far; each doubles the timeout *)
 }
+
+(* Index of [m] in the sorted [members] between [lo] and [hi], or -1. *)
+let rec search (members : int array) (m : int) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let x = members.(mid) in
+    if x = m then mid
+    else if x < m then search members m (mid + 1) hi
+    else search members m lo mid
+
+let index members m = search members m 0 (Array.length members)
+
+(* No member of [members] from index [i] on is flagged in [row]. *)
+let rec trusted row members i =
+  i = Array.length members
+  || ((not row.(members.(i))) && trusted row members (i + 1))
 
 module Make (Q : Quorum.Quorum_intf.S) = struct
   module Protocol = struct
@@ -72,6 +95,17 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
       suspected : bool array option array;
           (* per-origin failure detector (lazily allocated row of n+1
              flags): origin-local for the same prefix-stability reason *)
+      everyone : int array;  (* 1 .. n, the fallback's members *)
+      cached_slots : int array;
+      cached : int array array;
+          (* the suspicion walk's quorum cache, direct-mapped over
+             [Q.distinct_quorums] entries: entry [slot mod entries]
+             holds slot [cached_slots.(i)]'s sorted members (-1 and
+             [||] while empty). A hit needs the exact slot: the
+             crumbling wall's rotation does not repeat with period
+             [Q.distinct_quorums]. Both arrays are empty without a fault
+             plan, where nothing is suspected, the walk stops at its
+             first quorum and a cache would only hold memory. *)
       live : (int, op) Hashtbl.t;
           (* every round of every operation in flight, to its operation *)
       mutable stamps : int;  (* round stamps handed out so far *)
@@ -92,9 +126,6 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
     (* ---------------------------------------------------------------- *)
     (* Origin-local suspicion                                            *)
 
-    let is_suspected t origin m =
-      match t.suspected.(origin) with Some row -> row.(m) | None -> false
-
     let suspect t origin m =
       let row =
         match t.suspected.(origin) with
@@ -111,21 +142,37 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
       | Some row when m >= 1 && m <= t.n -> row.(m) <- false
       | _ -> ()
 
+    (* The sorted members of [slot]'s quorum, from the cache when there
+       is one. *)
+    let quorum_at t slot =
+      let entries = Array.length t.cached_slots in
+      if entries = 0 then Array.of_list (Q.quorum t.system ~slot)
+      else
+        let i = slot mod entries in
+        if t.cached_slots.(i) = slot then t.cached.(i)
+        else begin
+          let members = Array.of_list (Q.quorum t.system ~slot) in
+          t.cached_slots.(i) <- slot;
+          t.cached.(i) <- members;
+          members
+        end
+
     (* First quorum in rotation order from [from_slot] with no member the
        origin suspects — the client-side analogue of {!Quorum.Probe.search},
        driven by local suspicion instead of probe messages. [None] when
        suspicion blocks the whole rotation. *)
     let choose_quorum t ~origin ~from_slot =
-      let distinct = Q.distinct_quorums t.system in
-      let rec walk i =
-        if i >= distinct then None
-        else
-          let members = Q.quorum t.system ~slot:(from_slot + i) in
-          if List.exists (fun m -> is_suspected t origin m) members then
-            walk (i + 1)
-          else Some members
-      in
-      walk 0
+      match t.suspected.(origin) with
+      | None -> Some (quorum_at t from_slot)
+      | Some row ->
+          let distinct = Q.distinct_quorums t.system in
+          let rec walk i =
+            if i >= distinct then None
+            else
+              let members = quorum_at t (from_slot + i) in
+              if trusted row members 0 then Some members else walk (i + 1)
+          in
+          walk 0
 
     let majority_need t = (t.n / 2) + 1
 
@@ -137,8 +184,29 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
           op.members <- members;
           op.fallback <- false
       | None ->
-          op.members <- List.init t.n (fun i -> i + 1);
+          op.members <- t.everyone;
           op.fallback <- true
+
+    (* Every member but the origin owes the new phase an answer; true iff
+       the origin is a member. *)
+    let owe_all op =
+      let q = Array.length op.members in
+      if Bytes.length op.owed <> q then op.owed <- Bytes.create q;
+      Bytes.fill op.owed 0 q '\001';
+      let self = index op.members op.origin in
+      if self >= 0 then Bytes.set op.owed self '\000';
+      op.owing <- (if self >= 0 then q - 1 else q);
+      self >= 0
+
+    (* [payload] to every member but the origin, in member order: the
+       send order fixes the heap's sequence numbers. *)
+    let broadcast t op payload =
+      let members = op.members in
+      for i = 0 to Array.length members - 1 do
+        let m = members.(i) in
+        if m <> op.origin then
+          Sim.Network.send t.net ~src:op.origin ~dst:m payload
+      done
 
     (* ---------------------------------------------------------------- *)
     (* Registers                                                         *)
@@ -176,20 +244,15 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
 
     and read t ~reply op =
       let origin = op.origin in
-      let remote = List.filter (fun m -> m <> origin) op.members in
-      let is_member = List.mem origin op.members in
+      let is_member = owe_all op in
       op.phase <- Reading;
       op.value <- (if is_member then t.values.(origin) else 0);
       op.version <- (if is_member then t.versions.(origin) else -1);
-      op.pending <- remote;
       op.awaiting <-
         (if op.fallback then majority_need t - (if is_member then 1 else 0)
-         else List.length remote);
+         else op.owing);
       let round = register t op in
-      List.iter
-        (fun m ->
-          Sim.Network.send t.net ~src:origin ~dst:m (Read_req { round }))
-        remote;
+      broadcast t op (Read_req { round });
       if op.awaiting <= 0 then finish_read t ~reply op else arm t ~reply op
 
     and finish_read t ~reply op =
@@ -199,18 +262,12 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
 
     and write t ~reply op =
       let origin = op.origin and value = op.value and version = op.version in
-      let remote = List.filter (fun m -> m <> origin) op.members in
+      ignore (owe_all op);
       store t origin ~value ~version;
       op.phase <- Writing;
-      op.pending <- remote;
-      op.awaiting <-
-        (if op.fallback then majority_need t - 1 else List.length remote);
+      op.awaiting <- (if op.fallback then majority_need t - 1 else op.owing);
       let round = register t op in
-      List.iter
-        (fun m ->
-          Sim.Network.send t.net ~src:origin ~dst:m
-            (Write_req { round; value; version }))
-        remote;
+      broadcast t op (Write_req { round; value; version });
       if op.awaiting <= 0 then complete t ~reply op else arm t ~reply op
 
     and complete t ~reply op =
@@ -226,12 +283,13 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
       else if op.attempts + 1 >= max_attempts then
         give_up t op
           (Printf.sprintf "gave up after %d attempts (last quorum: %d silent)"
-             (op.attempts + 1) (List.length op.pending))
+             (op.attempts + 1) op.owing)
       else begin
         op.attempts <- op.attempts + 1;
-        List.iter
-          (fun m -> if m <> op.origin then suspect t op.origin m)
-          op.pending;
+        for i = 0 to Array.length op.members - 1 do
+          if Bytes.get op.owed i = '\001' then
+            suspect t op.origin op.members.(i)
+        done;
         choose t op;
         match op.phase with
         | Reading -> read t ~reply op
@@ -250,9 +308,13 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
        enough answers. *)
     let answered op ~round ~src =
       round = op.round
-      && List.mem src op.pending
+      &&
+      let i = index op.members src in
+      i >= 0
+      && Bytes.get op.owed i = '\001'
       && begin
-           op.pending <- List.filter (fun m -> m <> src) op.pending;
+           Bytes.set op.owed i '\000';
+           op.owing <- op.owing - 1;
            op.awaiting <- op.awaiting - 1;
            op.awaiting <= 0
          end
@@ -298,15 +360,21 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
     let create ?(seed = 42) ?delay ?(faults = Sim.Fault.none) ~n () =
       if Q.supported_n n <> n then
         invalid_arg ("Quorum_counter: unsupported n for " ^ Q.name);
+      let system = Q.create ~n in
+      let failure_aware = not (Sim.Fault.is_none faults) in
+      let entries = if failure_aware then Q.distinct_quorums system else 0 in
       {
         net = Sim.Network.create ~seed ?delay ~faults ~label ~n ();
         n;
-        system = Q.create ~n;
-        failure_aware = not (Sim.Fault.is_none faults);
+        system;
+        failure_aware;
         values = Array.make (n + 1) 0;
         versions = Array.make (n + 1) 0;
         local_ops = Array.make (n + 1) 0;
         suspected = Array.make (n + 1) None;
+        everyone = Array.init n (fun i -> i + 1);
+        cached_slots = Array.make entries (-1);
+        cached = Array.make entries [||];
         live = Hashtbl.create 16;
         stamps = 0;
         ops = 0;
@@ -331,9 +399,10 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
           phase = Reading;
           round = 0;
           rounds = [];
-          members = [];
+          members = [||];
           fallback = false;
-          pending = [];
+          owed = Bytes.empty;
+          owing = 0;
           awaiting = 0;
           value = 0;
           version = -1;
@@ -361,6 +430,8 @@ module Make (Q : Quorum.Quorum_intf.S) = struct
         versions = Array.copy t.versions;
         local_ops = Array.copy t.local_ops;
         suspected = Array.map (Option.map Array.copy) t.suspected;
+        cached_slots = Array.copy t.cached_slots;
+        cached = Array.copy t.cached;
         live = Hashtbl.create 16;
       }
   end

@@ -20,8 +20,8 @@
     far above the paper's O(k), which is the point of experiment E5/E8.
 
     The functor takes the quorum system; {!Over_majority}, {!Over_grid},
-    {!Over_tree} and {!Over_wall} are the instantiations used by the
-    registry.
+    {!Over_tree}, {!Over_wall} and {!Over_plane} are the instantiations
+    used by the registry.
 
     {b Failure awareness} (only active when created with a {!Sim.Fault}
     plan; without one, no timers are armed and behaviour is bit-identical

@@ -22,8 +22,8 @@ type profile = {
 }
 
 val measure : Quorum_intf.system -> n:int -> ?accesses:int -> unit -> profile
-(** Measure over [accesses] slots (default: one full rotation,
-    [distinct_quorums]). *)
+(** Measure over [accesses] slots (default: [distinct_quorums], one full
+    rotation for every system but the crumbling wall). *)
 
 val counts : Quorum_intf.system -> n:int -> accesses:int -> int array
 (** Per-element participation counts (index 0 unused). *)

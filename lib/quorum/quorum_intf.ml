@@ -35,8 +35,12 @@ module type S = sig
       duplicate-free, non-empty, all within [1 .. n]. *)
 
   val distinct_quorums : t -> int
-  (** Size of the quorum collection the strategy rotates through —
-      [quorum ~slot] cycles with this period. *)
+  (** Size of the quorum collection the strategy rotates through. For
+      majority, grid, tree and projective-plane systems [quorum ~slot]
+      cycles with this period. The crumbling wall's does not: its
+      representatives rotate with [slot / rows], so slot
+      [distinct_quorums] can differ from slot 0 (n = 9: slot 12), and
+      only the exact slot names a wall's quorum. *)
 
   val quorum_size : t -> int
   (** Size of the quorums this system produces (all our constructions are

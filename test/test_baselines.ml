@@ -356,6 +356,46 @@ let test_quorum_counter_singleton_universe () =
   check Alcotest.int "no messages" 0
     (Sim.Metrics.total_messages (QC.metrics c))
 
+(* Words allocated per message sent while [origins] increment in turn on
+   a fresh counter. Exact: [Gc.minor_words] reads the allocation
+   pointer. *)
+let words_per_message (module C : Counter.Counter_intf.S) ?faults ~n origins =
+  let c = C.create ?faults ~n () in
+  let before = Gc.minor_words () in
+  List.iter (fun origin -> ignore (C.inc_result c ~origin)) origins;
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (Sim.Metrics.total_messages (C.metrics c))
+
+let test_quorum_counter_allocation () =
+  (* A reply clears its member's owed flag in place, and under a fault
+     plan the suspicion walk takes rejected quorums from a cache, so the
+     client adds a few words to the engine's per message. A client that
+     filters a pending list on every reply, or builds and sorts a fresh
+     quorum for every slot the walk rejects, allocates over 200 words
+     per message in both runs. Holds in the dev and the release
+     profile. *)
+  let qm =
+    (module Baselines.Quorum_counter.Over_majority : Counter.Counter_intf.S)
+  in
+  let fault_free = words_per_message qm ~n:512 (List.init 512 (fun i -> i + 1)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "n = 512 each-once: %.1f words/msg < 60" fault_free)
+    true (fault_free < 60.);
+  let faults =
+    match
+      Sim.Fault.of_string
+        (String.concat "/" (List.init 32 (fun i -> Printf.sprintf "crash:%d@0" (i + 1))))
+    with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  let crashed =
+    words_per_message qm ~faults ~n:65 (List.init 130 (fun i -> (i mod 65) + 1))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "n = 65, 32 crashed, 130 ops: %.1f words/msg < 100" crashed)
+    true (crashed < 100.)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-counter comparison: the headline ordering at n = 81. *)
 
@@ -428,6 +468,7 @@ let () =
           Alcotest.test_case "origin-local slots" `Quick test_quorum_counter_slots_are_origin_local;
           Alcotest.test_case "majority rotation" `Quick test_quorum_counter_majority_correct_under_rotation;
           Alcotest.test_case "singleton universe" `Quick test_quorum_counter_singleton_universe;
+          Alcotest.test_case "words per message" `Quick test_quorum_counter_allocation;
         ] );
       ( "comparison",
         [ Alcotest.test_case "ordering at n=81" `Quick test_bottleneck_ordering_at_81 ] );

@@ -626,6 +626,38 @@ let test_duplication_typed_outcomes () =
         [ Sim.Delay.Constant 1.0; Sim.Delay.Exponential 1.0 ])
     every_counter
 
+(* A duplicated reply is counted once: each quorum member answers a
+   phase at most once toward its quorum, so under heavy duplication and
+   no crash every round-robin value is still exact. A client that counts
+   a duplicate as a second member's answer ends a phase early, before
+   the read has met the quorum that holds the latest write. *)
+let quorum_counters : Counter.Counter_intf.counter list =
+  Baselines.Quorum_counter.
+    [
+      (module Over_majority);
+      (module Over_grid);
+      (module Over_tree);
+      (module Over_wall);
+      (module Over_plane);
+    ]
+
+let test_quorum_duplicates_counted_once () =
+  let faults = plan "dup:0.5" in
+  List.iter
+    (fun ((module C : Counter.Counter_intf.S) as counter) ->
+      let n = C.supported_n 16 in
+      List.iter
+        (fun delay ->
+          let report =
+            Counter.Driver.run ~seed:3 ~delay ~faults counter ~n
+              ~schedule:(Counter.Schedule.Round_robin (3 * n))
+          in
+          check Alcotest.bool
+            (Format.asprintf "%s %a values exact" C.name Sim.Delay.pp delay)
+            true report.Counter.Driver.values_exact)
+        [ Sim.Delay.Constant 1.0; Sim.Delay.Exponential 1.0 ])
+    quorum_counters
+
 (* ------------------------------------------------------------------ *)
 (* Promises: each rule of Counter.Promise on synthetic rows, past its
    boundary and at it — the reference that no rule got looser. *)
@@ -810,6 +842,8 @@ let () =
             test_fault_run_reproducible;
           Alcotest.test_case "duplication gives typed outcomes" `Quick
             test_duplication_typed_outcomes;
+          Alcotest.test_case "quorum duplicates counted once" `Quick
+            test_quorum_duplicates_counted_once;
         ] );
       ( "promises",
         [

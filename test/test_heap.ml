@@ -58,6 +58,13 @@ let prop_equal_prio_is_fifo =
       values evens = List.filter (fun v -> v mod 2 = 0) (List.init count (fun i -> i + 1))
       && values odds = List.filter (fun v -> v mod 2 = 1) (List.init count (fun i -> i + 1)))
 
+(* Insert [entry] into the model, sorted by (priority, seq): its seq is
+   the largest so far, so it goes after every entry of equal priority. *)
+let rec insert ((prio, _, _) as entry) = function
+  | ((p, _, _) as first) :: rest when Float.compare p prio <= 0 ->
+      first :: insert entry rest
+  | model -> entry :: model
+
 (* Interleaved pushes and pops against a running reference model. *)
 let prop_interleaved_ops_match_model =
   QCheck2.Test.make ~name:"interleaved push/pop tracks the model" ~count:200
@@ -72,14 +79,8 @@ let prop_interleaved_ops_match_model =
           match op with
           | Some prio ->
               Heap.push h ~prio v;
-              model := !model @ [ (prio, !seq, v) ];
-              incr seq;
-              model :=
-                List.stable_sort
-                  (fun (p1, s1, _) (p2, s2, _) ->
-                    if p1 <> p2 then compare (p1 : float) p2
-                    else compare (s1 : int) s2)
-                  !model
+              model := insert (prio, !seq, v) !model;
+              incr seq
           | None -> (
               match (Heap.pop h, !model) with
               | None, [] -> ()

@@ -40,13 +40,59 @@ let prop_intersection_random_slots =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"random slot pairs intersect" ~count:300
        QCheck2.Gen.(
-         tup3 (int_range 0 3) (int_range 1 60) (pair (int_range 0 500) (int_range 0 500)))
+         tup3
+           (int_range 0 (List.length systems - 1))
+           (int_range 1 60)
+           (pair (int_range 0 500) (int_range 0 500)))
        (fun (sys_i, n, (s1, s2)) ->
          let (module Q : Quorum.Quorum_intf.S), _ = List.nth systems sys_i in
          let n = Q.supported_n n in
          let q = Q.create ~n in
          let a = Q.quorum q ~slot:s1 and b = Q.quorum q ~slot:s2 in
          List.exists (fun e -> List.mem e b) a))
+
+(* [quorum ~slot] repeats with period [distinct_quorums] for every
+   system but the crumbling wall, whose representatives rotate with
+   [slot / rows] and so first differ at slot [distinct_quorums]: a
+   cache keyed on [slot mod distinct_quorums] would be wrong for it. *)
+let test_rotation_period () =
+  List.iter
+    (fun ((module Q : Quorum.Quorum_intf.S), sizes) ->
+      if Q.name <> Quorum.Crumbling_wall.name then
+        List.iter
+          (fun n ->
+            let t = Q.create ~n in
+            let distinct = Q.distinct_quorums t in
+            for slot = 0 to (3 * distinct) - 1 do
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s n=%d slot %d" Q.name n slot)
+                (Q.quorum t ~slot:(slot mod distinct))
+                (Q.quorum t ~slot)
+            done)
+          sizes)
+    systems;
+  (* The wall's distinct count and its first slot in three periods that
+     differs from [slot mod distinct]. *)
+  let first_repeat_miss n =
+    let w = Quorum.Crumbling_wall.create ~n in
+    let distinct = Quorum.Crumbling_wall.distinct_quorums w in
+    let rec from slot =
+      if slot >= 3 * distinct then None
+      else if
+        List.equal Int.equal
+          (Quorum.Crumbling_wall.quorum w ~slot)
+          (Quorum.Crumbling_wall.quorum w ~slot:(slot mod distinct))
+      then from (slot + 1)
+      else Some slot
+    in
+    (distinct, from 0)
+  in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check (pair int (option int)))
+        (Printf.sprintf "wall n=%d: (distinct, first miss)" n)
+        (expected, Some expected) (first_repeat_miss n))
+    [ (9, 12); (65, 110) ]
 
 let test_majority_size () =
   let q = Quorum.Majority.create ~n:10 in
@@ -241,6 +287,7 @@ let () =
           Alcotest.test_case "well formed" `Quick test_well_formed;
           Alcotest.test_case "pairwise intersection" `Quick test_pairwise_intersection;
           prop_intersection_random_slots;
+          Alcotest.test_case "rotation period" `Quick test_rotation_period;
         ] );
       ( "constructions",
         [
