@@ -369,11 +369,11 @@ let words_per_message (module C : Counter.Counter_intf.S) ?faults ~n origins =
 let test_quorum_counter_allocation () =
   (* A reply clears its member's owed flag in place, and under a fault
      plan the suspicion walk takes rejected quorums from a cache, so the
-     client adds a few words to the engine's per message. A client that
-     filters a pending list on every reply, or builds and sorts a fresh
-     quorum for every slot the walk rejects, allocates over 200 words
-     per message in both runs. Holds in the dev and the release
-     profile. *)
+     client allocates a few words per message on top of the engine's.
+     A client that filters a pending list on every reply, or builds and
+     sorts a fresh quorum for every slot the walk rejects, allocates
+     over 200 words per message in both runs. Holds in the dev and the
+     release profile. *)
   let qm =
     (module Baselines.Quorum_counter.Over_majority : Counter.Counter_intf.S)
   in
